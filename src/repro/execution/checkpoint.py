@@ -16,7 +16,10 @@ This module closes that gap with a write-ahead chunk ledger:
   restarts, and one checksummed record per completed ordered slot under
   ``slots/``.  Records are written atomically (tmp file → ``fsync`` →
   ``os.replace`` → directory ``fsync``), so a crash can lose at most the
-  unflushed tail — never corrupt a persisted slot.
+  unflushed tail — never corrupt a persisted slot.  ``stats.json`` is
+  persisted on change: a flush rewrites it (and fsyncs the job
+  directory) only when the counters differ from the snapshot last
+  written, which in a fault-free run is once per job.
 
 The backends persist each ordered contribution as it is harvested
 (``ExecutionBackend.run_subtasks(checkpoint=...)``), batched every
@@ -326,6 +329,7 @@ class CheckpointJob:
         self._recorded: Set[int] = set()
         self._stats: Optional["PlanStats"] = None
         self._stats_offsets: Dict[str, float] = {}
+        self._stats_written: Optional[Dict[str, float]] = None
         self.loaded: Dict[int, np.ndarray] = {}
         self.prior_stats: Dict[str, float] = {}
         try:
@@ -541,7 +545,13 @@ class CheckpointJob:
             self.record(position, array)
 
     def flush(self) -> None:
-        """Make every buffered record (and the stats snapshot) durable."""
+        """Make every buffered record (and the stats snapshot) durable.
+
+        The stats snapshot is rewritten only when it differs from the one
+        last written, and the job directory is fsynced only when that
+        rewrite renamed a file into it; the files on disk after a flush
+        are the same as if both were done every time.
+        """
         if self._closed:
             return
         buffered, self._buffer = self._buffer, []
@@ -558,21 +568,27 @@ class CheckpointJob:
                 self._slots_dir / f"{position:08d}.slot",
                 pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
             )
-        self._write_stats()
+        stats_written = self._write_stats()
         if buffered:
             _fsync_dir(self._slots_dir)
-        _fsync_dir(self.dir)
+        if stats_written:
+            _fsync_dir(self.dir)
 
-    def _write_stats(self) -> None:
+    def _write_stats(self) -> bool:
+        """Persist the stats snapshot if it changed; return whether it did."""
         if self._stats is None:
-            return
+            return False
         snapshot = {
             field: getattr(self._stats, field) - self._stats_offsets.get(field, 0.0)
             for field in _STATS_FIELDS
         }
+        if snapshot == self._stats_written:
+            return False
         _atomic_write(
             self._stats_path, json.dumps(snapshot, indent=2).encode()
         )
+        self._stats_written = snapshot
+        return True
 
     @property
     def recorded_slots(self) -> int:

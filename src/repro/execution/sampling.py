@@ -13,8 +13,9 @@ This module implements that workflow on top of the planning/execution stack:
 * :class:`CorrelatedSampleBatch` — the result of contracting a network with
   ``k`` open output qubits: a ``2^k`` amplitude tensor over the open qubits
   with the remaining qubits fixed to a base bitstring;
-* :class:`CorrelatedSampler` — plans and executes such batches (numerically
-  for laptop-scale circuits, abstractly for planning-only studies);
+* :class:`CorrelatedSampler` — plans a contraction path and slicing once
+  and executes every batch with them (numerically for laptop-scale
+  circuits, abstractly for planning-only studies);
 * :func:`linear_xeb_fidelity` — the standard XEB estimator
   ``F = 2^n <p(x)> - 1``.
 """
@@ -136,7 +137,13 @@ class CorrelatedSampler:
     target_rank:
         Memory target for process-level slicing.
     max_trials, seed:
-        Path-search configuration.
+        Path-search configuration.  The path is searched once per sampler:
+        every base bitstring yields a network of the same structure (only
+        the closed qubits' basis-vector data differs), so the first
+        :meth:`compute_batch` plans a contraction tree and a slicing set
+        and every later batch reuses them.  With a ``seed`` the reused tree
+        is exactly the one a fresh search would return; ``seed=None``
+        means one random search per sampler, not one per batch.
     executor_mode:
         ``"compiled"`` (default) contracts batches through the compiled
         plan with slice-invariant caching; ``"reference"`` uses the einsum
@@ -168,8 +175,10 @@ class CorrelatedSampler:
         contracts a different network, so each gets its own
         content-fingerprinted ledger in the same
         :class:`~repro.execution.checkpoint.CheckpointStore`, and a
-        sampling run interrupted by a coordinator crash resumes with only
-        the missing slots of the in-flight batch re-executed
+        sampling run interrupted by a coordinator crash resumes (in a new
+        sampler with the same ``seed``, which re-derives the same plan and
+        fingerprint) with only the missing slots of the in-flight batch
+        re-executed
         (bit-identical results; see :mod:`repro.execution.checkpoint`).
     fault_injector:
         Optional deterministic
@@ -225,6 +234,11 @@ class CorrelatedSampler:
         #: PlanStats accumulated across compute_batch calls (includes the
         #: resilience counters: retries, faults, degraded_to, recovery_seconds)
         self.stats = PlanStats()
+        # the plan shared by every batch: the structure key of the network
+        # it was searched for, its tree, and the slicing derived from it
+        self._plan_key: Optional[Tuple] = None
+        self._tree: Optional[ContractionTree] = None
+        self._derived_slicing: frozenset = frozenset()
 
     # ------------------------------------------------------------------
     def build_network(
@@ -268,7 +282,11 @@ class CorrelatedSampler:
         return network, open_index_of_qubit, report.scalar_prefactor
 
     def plan_tree(self, network: TensorNetwork) -> ContractionTree:
-        """Contraction tree for a batch network."""
+        """Search a contraction tree for a batch network.
+
+        :meth:`compute_batch` calls this once per sampler and reuses the
+        tree for every batch of the same network structure.
+        """
         optimizer = HyperOptimizer(
             max_trials=self.max_trials,
             minimize="combo",
@@ -281,11 +299,12 @@ class CorrelatedSampler:
     def session(self):
         """Open (or reuse) the backend's persistent execution session.
 
-        Each :meth:`compute_batch` call builds a fresh network and plan
-        for its base bitstring, so what the session amortizes across
-        batches is the expensive part of the pool backend's start-up: the
-        worker processes themselves.  Segments and the pickled plan are
-        republished per batch; the pool is spawned once::
+        Each :meth:`compute_batch` call contracts a different network (the
+        closed qubits' data differs per base bitstring), so what the
+        session amortizes across batches is the expensive part of the pool
+        backend's start-up: the worker processes themselves.  Segments and
+        the pickled plan are republished per batch; the pool is spawned
+        once::
 
             with sampler.session():
                 batches = [sampler.compute_batch(b) for b in bases]
@@ -320,25 +339,22 @@ class CorrelatedSampler:
         base_bitstring:
             Values of the closed qubits (open-qubit entries ignored).
         sliced:
-            Optional explicit slicing set (inner indices).  ``None`` derives
-            one from the planner when the tree exceeds ``target_rank``.
+            Optional explicit slicing set (inner indices) for this call.
+            ``None`` uses the slicing derived from the sampler's tree when
+            it exceeds ``target_rank``.
         """
         network, open_index_of_qubit, prefactor = self.build_network(
             base_bitstring, concrete=True
         )
-        tree = self.plan_tree(network)
-
-        slicing: frozenset
-        if sliced is not None:
-            slicing = frozenset(sliced)
-        elif self.target_rank is not None and tree.max_rank() > self.target_rank:
-            from ..core.slice_finder import LifetimeSliceFinder
-
-            result = LifetimeSliceFinder(self.target_rank).find(tree)
-            inner = network.inner_indices()
-            slicing = frozenset(ix for ix in result.sliced if ix in inner)
-        else:
-            slicing = frozenset()
+        # simplify_network is purely structural, so every base bitstring
+        # gives the same structure key and shares one tree and slicing
+        key = _structure_key(network)
+        if key != self._plan_key:
+            self._tree = self.plan_tree(network)
+            self._derived_slicing = self._derive_slicing(network, self._tree)
+            self._plan_key = key
+        tree = self._tree
+        slicing = frozenset(sliced) if sliced is not None else self._derived_slicing
 
         if slicing:
             # max_workers was already resolved into self.backend at
@@ -375,6 +391,26 @@ class CorrelatedSampler:
             open_qubits=self.open_qubits,
             amplitudes=amplitudes,
         )
+
+    def _derive_slicing(self, network: TensorNetwork, tree: ContractionTree) -> frozenset:
+        if self.target_rank is None or tree.max_rank() <= self.target_rank:
+            return frozenset()
+        from ..core.slice_finder import LifetimeSliceFinder
+
+        result = LifetimeSliceFinder(self.target_rank).find(tree)
+        inner = network.inner_indices()
+        return frozenset(ix for ix in result.sliced if ix in inner)
+
+
+def _structure_key(network: TensorNetwork) -> Tuple:
+    """Everything a path search and slice finder see of a network."""
+    return (
+        tuple(
+            (tid, tensor.indices, tensor.shape)
+            for tid, tensor in sorted(network.tensors().items())
+        ),
+        tuple(sorted(network.output_indices())),
+    )
 
 
 def linear_xeb_fidelity(probabilities: Sequence[float], num_qubits: int) -> float:

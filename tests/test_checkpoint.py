@@ -17,6 +17,7 @@ audit additionally asserts no test leaves an orphaned checkpoint
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -35,6 +36,7 @@ from repro.execution import (
     CheckpointError,
     CheckpointStore,
     ChunkIntegrityError,
+    CorrelatedSampler,
     DistributedBackend,
     FaultInjector,
     FaultPolicy,
@@ -47,6 +49,7 @@ from repro.execution import (
     ThreadPoolBackend,
     job_fingerprint,
 )
+from repro.execution import checkpoint as checkpoint_module
 from repro.execution.checkpoint import payload_checksums, verify_payload
 from repro.paths import GreedyOptimizer
 from repro.tensornet import amplitude_network, simplify_network
@@ -586,6 +589,125 @@ class TestResume:
         executor = SlicedExecutor(tn, tree, _sliced(tn), mode="reference")
         with pytest.raises(ValueError, match="compiled mode"):
             executor.run(resume=str(tmp_path / "store"))
+
+
+# ----------------------------------------------------------------------
+# Ledger write accounting: stats.json is persisted on change only
+# ----------------------------------------------------------------------
+@pytest.fixture
+def ledger_writes(monkeypatch):
+    """Names of the files atomically written and directories fsynced."""
+    writes, fsyncs = [], []
+    atomic_write = checkpoint_module._atomic_write
+    fsync_dir = checkpoint_module._fsync_dir
+
+    def counting_write(path, data):
+        writes.append(path.name)
+        atomic_write(path, data)
+
+    def counting_fsync(path):
+        fsyncs.append(path.name)
+        fsync_dir(path)
+
+    monkeypatch.setattr(checkpoint_module, "_atomic_write", counting_write)
+    monkeypatch.setattr(checkpoint_module, "_fsync_dir", counting_fsync)
+    return writes, fsyncs
+
+
+class TestLedgerWrites:
+    def test_fault_free_job_writes_stats_once(
+        self, case, serial_value, tmp_path, ledger_writes
+    ):
+        writes, fsyncs = ledger_writes
+        tn, tree = case
+        store = CheckpointStore(tmp_path / "store")
+        executor = SlicedExecutor(
+            tn,
+            tree,
+            _sliced(tn),
+            backend=SerialBackend(),
+            fault_policy=FaultPolicy(checkpoint_every=1),
+        )
+        assert executor.amplitude(resume=store) == serial_value
+        slots = executor.num_subtasks
+        assert sum(name.endswith(".slot") for name in writes) == slots
+        assert writes.count("stats.json") == 1
+        assert writes.count("manifest.json") == 1
+        # per slot: the record's own fsync and one of slots/; the job
+        # directory is fsynced for the manifest and the single stats write
+        assert fsyncs.count("slots") == slots
+        assert len(fsyncs) == slots + 2
+
+    def test_fault_rewrites_stats(self, case, tmp_path, ledger_writes):
+        writes, _ = ledger_writes
+        tn, tree = case
+        store = CheckpointStore(tmp_path / "store")
+        # chunk 0's payload is corrupted and retried; ordinal 7 is the
+        # retried chunk, after whose flush the coordinator dies
+        injector = FaultInjector(
+            [
+                FaultSpec("corrupt-result", chunk=0, seconds=7),
+                FaultSpec("kill-coordinator", chunk=7),
+            ]
+        )
+        interrupted = SlicedExecutor(
+            tn,
+            tree,
+            _sliced(tn),
+            backend=ThreadPoolBackend(WORKERS),
+            fault_policy=FaultPolicy.retrying(),
+            fault_injector=injector,
+        )
+        with pytest.raises(InjectedCoordinatorDeath):
+            interrupted.run(resume=store)
+        assert interrupted.stats.retries >= 1
+        assert writes.count("stats.json") >= 2
+        (job,) = store.jobs()
+        persisted = json.loads((store.root / job / "stats.json").read_text())
+        assert persisted["retries"] == interrupted.stats.retries
+        assert persisted["faults"] == interrupted.stats.faults
+
+
+# ----------------------------------------------------------------------
+# A correlated sampler armed with a ledger resumes its in-flight batch
+# ----------------------------------------------------------------------
+class TestSamplerResume:
+    def test_interrupted_batch_resumes_bit_identically(self, tmp_path):
+        circuit = random_brickwork_circuit(8, 6, seed=31)
+        kwargs = dict(open_qubits=(2, 5), target_rank=4, max_trials=4, seed=3)
+        bases = [(1, 0, 1, 1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 1, 0, 1)]
+        clean = CorrelatedSampler(circuit, backend=SerialBackend(), **kwargs)
+        expected = [clean.compute_batch(base) for base in bases]
+
+        root = tmp_path / "ledger"
+        policy = FaultPolicy.retrying(checkpoint_dir=str(root))
+        interrupted = CorrelatedSampler(
+            circuit,
+            backend=SerialBackend(),
+            fault_policy=policy,
+            fault_injector=FaultInjector([FaultSpec("kill-coordinator", chunk=1)]),
+            **kwargs,
+        )
+        with pytest.raises(InjectedCoordinatorDeath):
+            interrupted.compute_batch(bases[0])
+        store = CheckpointStore(root)
+        assert len(store.jobs()) == 1
+
+        # a fresh sampler with the same seed re-derives the same plan and
+        # hence the same ledger fingerprint; resume on the process pool
+        resumed = CorrelatedSampler(
+            circuit,
+            backend=SharedMemoryProcessPoolBackend(WORKERS),
+            fault_policy=policy,
+            **kwargs,
+        )
+        with resumed, resumed.session():
+            batches = [resumed.compute_batch(base) for base in bases]
+        # harvest ordinals 0 and 1 were durable before the death
+        assert resumed.stats.resumed_slots == 2
+        for batch, reference in zip(batches, expected):
+            np.testing.assert_array_equal(batch.amplitudes, reference.amplitudes)
+        assert store.jobs() == []
 
 
 # ----------------------------------------------------------------------

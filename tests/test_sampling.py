@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from repro.circuits import StateVectorSimulator, random_brickwork_circuit
+from repro.circuits.statevector import simulate_statevector
+from repro.execution import SerialBackend, SharedMemoryProcessPoolBackend
+from repro.execution import sampling as sampling_module
 from repro.execution.sampling import (
     CorrelatedSampleBatch,
     CorrelatedSampler,
     linear_xeb_fidelity,
 )
+from repro.paths.optimizer import HyperOptimizer
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +93,94 @@ class TestCorrelatedBatch:
         reference = StateVectorSimulator(6).run(circuit)
         bits = [0] * 6
         assert batch.amplitude_of(bits) == pytest.approx(reference.amplitude(bits), abs=1e-8)
+
+
+_PLAN_ONCE_CIRCUIT = random_brickwork_circuit(8, 6, seed=31)
+_PLAN_ONCE_KWARGS = dict(open_qubits=(2, 5), target_rank=4, max_trials=4, seed=3)
+_PLAN_ONCE_BASES = [
+    (0, 0, 0, 0, 0, 0, 0, 0),
+    (1, 0, 1, 1, 0, 0, 1, 0),
+    (0, 1, 0, 0, 1, 1, 0, 1),
+    (1, 1, 0, 1, 0, 1, 1, 1),
+]
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Count HyperOptimizer.search calls made while the test runs."""
+    calls = []
+    original = HyperOptimizer.search
+
+    def counting_search(self, network):
+        calls.append(network.num_tensors)
+        return original(self, network)
+
+    monkeypatch.setattr(HyperOptimizer, "search", counting_search)
+    return calls
+
+
+def _statevector_batch(state, base, open_qubits):
+    expected = np.empty((2,) * len(open_qubits), dtype=complex)
+    for values in np.ndindex(*expected.shape):
+        bits = list(base)
+        for qubit, bit in zip(open_qubits, values):
+            bits[qubit] = bit
+        expected[values] = state[int("".join(map(str, bits)), 2)]
+    return expected
+
+
+class TestPlanOnce:
+    @pytest.fixture(scope="class")
+    def fresh_batches(self):
+        # one sampler per base: every batch searches its own path
+        return [
+            CorrelatedSampler(_PLAN_ONCE_CIRCUIT, **_PLAN_ONCE_KWARGS).compute_batch(base)
+            for base in _PLAN_ONCE_BASES
+        ]
+
+    @pytest.mark.parametrize("kind", ["serial", "pool"])
+    def test_one_search_serves_every_base(self, fresh_batches, search_calls, kind):
+        backend = (
+            SerialBackend() if kind == "serial" else SharedMemoryProcessPoolBackend(2)
+        )
+        state = simulate_statevector(_PLAN_ONCE_CIRCUIT)
+        with CorrelatedSampler(
+            _PLAN_ONCE_CIRCUIT, backend=backend, **_PLAN_ONCE_KWARGS
+        ) as sampler, sampler.session():
+            batches = [sampler.compute_batch(base) for base in _PLAN_ONCE_BASES]
+        assert len(search_calls) == 1
+        # the cached plan slices two indices: four subtasks per batch
+        assert sampler.stats.executions == 4 * len(_PLAN_ONCE_BASES)
+        for base, batch, fresh in zip(_PLAN_ONCE_BASES, batches, fresh_batches):
+            np.testing.assert_array_equal(batch.amplitudes, fresh.amplitudes)
+            expected = _statevector_batch(state, base, sampler.open_qubits)
+            np.testing.assert_allclose(batch.amplitudes, expected, rtol=0, atol=1e-9)
+
+    def test_explicit_slicing_is_per_call(self, fresh_batches, search_calls, monkeypatch):
+        slicings = []
+
+        class RecordingExecutor(sampling_module.SlicedExecutor):
+            def __init__(self, network, tree, sliced, **kwargs):
+                slicings.append(frozenset(sliced))
+                super().__init__(network, tree, sliced, **kwargs)
+
+        monkeypatch.setattr(sampling_module, "SlicedExecutor", RecordingExecutor)
+        sampler = CorrelatedSampler(_PLAN_ONCE_CIRCUIT, **_PLAN_ONCE_KWARGS)
+        first, second, third = _PLAN_ONCE_BASES[:3]
+        network, _, _ = sampler.build_network(first)
+        explicit = frozenset(sorted(network.inner_indices())[:3])
+        explicit_batch = sampler.compute_batch(first, sliced=explicit)
+        derived_batches = [sampler.compute_batch(base) for base in (second, third)]
+
+        assert len(search_calls) == 1
+        derived = slicings[1]
+        assert slicings == [explicit, derived, derived]
+        assert derived != explicit and len(derived) == 2
+        np.testing.assert_allclose(
+            explicit_batch.amplitudes, fresh_batches[0].amplitudes, rtol=0, atol=1e-12
+        )
+        for batch, fresh in zip(derived_batches, fresh_batches[1:3]):
+            np.testing.assert_array_equal(batch.amplitudes, fresh.amplitudes)
 
 
 class TestSamplerValidation:

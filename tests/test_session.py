@@ -301,8 +301,9 @@ class TestSamplerSession:
         with sampler.session() as session:
             pooled_batches = [sampler.compute_batch(base) for base in bases]
             if isinstance(session, ExecutionSession):
-                # each batch compiles its own plan, so segments republish
-                # per batch — but the worker pool is spawned exactly once
+                # each batch contracts different leaf data, so segments
+                # republish per batch — but the worker pool is spawned
+                # exactly once
                 assert session.pool_launches <= 1
         for serial_batch, pooled_batch in zip(serial_batches, pooled_batches):
             np.testing.assert_array_equal(
