@@ -77,7 +77,7 @@ Backend                         Use when
                                 ``multiprocessing.shared_memory`` and then stream
                                 chunks with no interpreter contention.
 ``DistributedBackend``          More subtask work than one node: chunks stream
-                                over TCP sockets (or MPI) to remote worker
+                                over TCP sockets to remote worker
                                 *processes* after a one-time plan/leaf/cache
                                 broadcast — localhost workers are spawned
                                 automatically, multi-node workers are reached via
@@ -87,13 +87,9 @@ Backend                         Use when
                                 sweep (:func:`measure_strong_scaling`).
 =============================== =====================================================
 
-The legacy ``max_workers=N`` argument survives as a deprecated shim on
-every entry point (``SlicedExecutor``, ``TreeExecutor``,
-``contract_tree``, ``CorrelatedSampler``): any non-``None`` value emits
-one ``DeprecationWarning`` and resolves through ``resolve_backend`` (> 1
-to a thread pool, <= 1 to serial).  ``mode="reference"`` (and
-``executor_mode="reference"`` on :class:`CorrelatedSampler`) rejects both
-``backend=`` and ``max_workers=`` with the same ``ValueError``.
+``mode="reference"`` (and ``executor_mode="reference"`` on
+:class:`CorrelatedSampler`) rejects ``backend=`` with the same
+``ValueError`` on every entry point.
 
 Session lifecycle
 -----------------
@@ -138,7 +134,11 @@ a crashed process pool — segments republished under a fresh generation,
 only the chunks whose ordered slots are still empty re-submitted —
 while ``FaultPolicy.degrading()`` additionally falls back down the
 substrate chain (process pool → thread pool → serial) when pool recovery
-is exhausted.  Because the backends fold per-position contributions
+is exhausted.  One :class:`~repro.execution.scheduler.ChunkScheduler`
+applies the policy for the thread pool, the process pool and the
+distributed backend alike; each backend only supplies the channel that
+moves chunks, and decides what a lost worker or a timed-out chunk means
+for it.  Because the backends fold per-position contributions
 strictly in assignment order *after* all slots are filled, recovered and
 degraded runs are **bit-identical** to a clean serial run.  Per-chunk
 timeouts can be given explicitly or derived from the calibrated cost
@@ -204,7 +204,6 @@ from .distributed import (
     DistributedSession,
     DistributedWorkerError,
     LocalSocketTransport,
-    MpiTransport,
     SocketTransport,
     TransportClosed,
     TransportError,
@@ -267,7 +266,6 @@ __all__ = [
     "DistributedSession",
     "DistributedWorkerError",
     "LocalSocketTransport",
-    "MpiTransport",
     "SocketTransport",
     "TransportClosed",
     "TransportError",

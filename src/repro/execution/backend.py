@@ -31,7 +31,7 @@ Backends:
   whose per-task Python overhead would serialize a thread pool.
 * :class:`~repro.execution.distributed.DistributedBackend` (in
   :mod:`repro.execution.distributed`) — the multi-node generalization:
-  subtask chunks stream over sockets (or MPI) to remote worker processes
+  subtask chunks stream over sockets to remote worker processes
   after a one-time plan/leaf/cache broadcast; also reachable through the
   ``"distributed"`` / ``"distributed:host:port,..."`` string specs of
   :func:`resolve_backend`.
@@ -54,26 +54,37 @@ import atexit
 import math
 import os
 import pickle
+import sys
 import threading
-import time
 import warnings
 import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
+from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from .checkpoint import CheckpointJob, payload_checksums, verify_payload
+from .checkpoint import CheckpointJob, payload_checksums
 from .faultinject import (
     FaultInjector,
     apply_coordinator_directive,
@@ -81,14 +92,14 @@ from .faultinject import (
     corrupt_payload,
 )
 from .plan import CompiledPlan, PlanStats, StemSlots
-from .resilience import (
-    FAIL_FAST,
-    ChunkIntegrityError,
-    ChunkTimeoutError,
-    FaultPolicy,
-    RecoveryClock,
-    RecoveryExhaustedError,
-    run_degraded,
+from .resilience import FAIL_FAST, FaultPolicy
+from .scheduler import (
+    ChunkChannel,
+    ChunkResult,
+    ChunkScheduler,
+    Completion,
+    Event,
+    WorkerLoss,
 )
 
 __all__ = [
@@ -166,28 +177,23 @@ def _backend_from_spec(spec: str) -> "ExecutionBackend":
 def validate_execution_args(
     mode: str,
     backend: Union["ExecutionBackend", str, None] = None,
-    max_workers: Optional[int] = None,
     array_module=None,
 ) -> None:
-    """Validate the mode/parallelism/substrate combination uniformly.
+    """Validate the mode/backend/substrate combination uniformly.
 
     Every entry point (sliced executor, tree executor, sampler, planner)
-    funnels through this so that the reference mode rejects parallel
-    execution — and a device ``array_module`` rejects the shared-memory
-    process pool and the distributed backend — with the same
-    ``ValueError`` everywhere.  String backend specs are validated by
-    building the backend they name (construction is lazy: no worker is
-    spawned until the first run).
+    funnels through this so that the reference mode rejects a backend —
+    and a device ``array_module`` rejects the shared-memory process pool
+    and the distributed backend — with the same ``ValueError``
+    everywhere.  String backend specs are validated by building the
+    backend they name (construction is lazy: no worker is spawned until
+    the first run).
     """
     if mode not in ("compiled", "reference"):
         raise ValueError(f"unknown execution mode {mode!r}")
     if isinstance(backend, str):
         backend = _backend_from_spec(backend)
-    if backend is not None and max_workers is not None:
-        raise ValueError("pass either backend= or max_workers=, not both")
     if mode == "reference":
-        if max_workers is not None:
-            raise ValueError("max_workers requires the compiled mode")
         if backend is not None:
             raise ValueError("backend requires the compiled mode")
         if array_module is not None and not getattr(array_module, "is_host", True):
@@ -202,41 +208,24 @@ def validate_execution_args(
 
 def resolve_backend(
     backend: Union["ExecutionBackend", str, None] = None,
-    max_workers: Optional[int] = None,
     array_module=None,
 ) -> "ExecutionBackend":
-    """Resolve the ``backend=`` / legacy ``max_workers=`` pair to a backend.
+    """Resolve ``backend=`` to a backend instance (default: serial).
 
     ``backend`` may also be a string spec: ``"distributed"`` builds a
     :class:`~repro.execution.distributed.DistributedBackend` spawning the
     default localhost worker set, and ``"distributed:host:port,..."`` one
-    connecting to pre-started workers at the listed addresses.
-
-    ``max_workers`` is a deprecated shim kept for the pre-backend API:
-    any non-``None`` value warns exactly once, a value > 1 maps to
-    ``ThreadPoolBackend(max_workers)`` and a value <= 1 to
-    ``SerialBackend``.  Passing both arguments is an error regardless of
-    the values (``max_workers=0`` is not a way to sneak past the check).
-    When ``array_module`` is given, the resolved backend is checked
-    against it (device modules cannot run on the shared-memory pool or
-    the distributed backend).
+    connecting to pre-started workers at the listed addresses.  When
+    ``array_module`` is given, the resolved backend is checked against it
+    (device modules cannot run on the shared-memory pool or the
+    distributed backend).
     """
-    if backend is not None:
-        if max_workers is not None:
-            raise ValueError("pass either backend= or max_workers=, not both")
-        if isinstance(backend, str):
-            backend = _backend_from_spec(backend)
-        _check_module_backend(array_module, backend)
-        return backend
-    if max_workers is not None:
-        warnings.warn(
-            "max_workers= is deprecated; pass backend=ThreadPoolBackend(max_workers=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if int(max_workers) > 1:
-            return ThreadPoolBackend(max_workers=int(max_workers))
-    return SerialBackend()
+    if backend is None:
+        return SerialBackend()
+    if isinstance(backend, str):
+        backend = _backend_from_spec(backend)
+    _check_module_backend(array_module, backend)
+    return backend
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +574,18 @@ class SerialBackend(ExecutionBackend):
 
 
 class _PooledBackend(ExecutionBackend):
-    """Common chunking/merging machinery of the two pool backends."""
+    """Chunking, scheduling and the ordered fold of the pooled backends.
+
+    Their ``run_subtasks`` is this one: the subtasks are cut into chunks
+    and handed to a :class:`~repro.execution.scheduler.ChunkScheduler`,
+    which makes every retry, timeout, harvest, ledger and degrade
+    decision over the channel :meth:`_open_channel` yields.  Subclasses
+    supply only that channel.
+    """
+
+    #: Whether one-subtask runs and one-worker pools skip the channel and
+    #: run in the calling thread.
+    _inline_small_runs = True
 
     def __init__(self, max_workers: int, chunk_size: Optional[int] = None) -> None:
         self.max_workers = int(max_workers)
@@ -605,58 +605,15 @@ class _PooledBackend(ExecutionBackend):
             chunk_size = max(1, math.ceil(len(items) / (4 * self.max_workers)))
         return _chunked(items, chunk_size)
 
-    def _merge_ordered(
-        self,
-        plan: CompiledPlan,
-        contributions: List[Optional[np.ndarray]],
-        sum_batch_axes: int,
-    ) -> Tensor:
-        accumulated = contributions[0]
-        assert accumulated is not None
-        for contribution in contributions[1:]:
-            assert contribution is not None
-            accumulated += contribution
-        return _result_tensor(plan, accumulated, sum_batch_axes)
-
-    def _run_serially(
+    def _open_channel(
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
         cache: Optional[Dict[int, np.ndarray]],
         sum_batch_axes: int,
-        stats: Optional[PlanStats],
-        checkpoint: Optional[CheckpointJob] = None,
-        injector: Optional[FaultInjector] = None,
-    ) -> Tensor:
-        if checkpoint is not None:
-            accumulated = _serial_accumulate_checkpointed(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                self._slots, checkpoint, injector,
-            )
-        else:
-            accumulated = _serial_accumulate(
-                plan, network, assignments, cache, sum_batch_axes, stats, self._slots
-            )
-        return _result_tensor(plan, accumulated, sum_batch_axes)
-
-
-class ThreadPoolBackend(_PooledBackend):
-    """Distribute subtask chunks over a thread pool.
-
-    numpy releases the GIL inside the contraction kernels, so threads
-    amortize well when each subtask is large; per-subtask Python overhead
-    is still serialized, which is where the process pool takes over.
-
-    Parameters
-    ----------
-    max_workers:
-        Thread count.
-    chunk_size:
-        Subtasks per work item; default streams ~4 chunks per thread.
-    """
-
-    name = "threads"
+    ) -> ContextManager[ChunkChannel]:
+        """The chunk channel one run is scheduled over."""
+        raise NotImplementedError
 
     def run_subtasks(
         self,
@@ -673,140 +630,178 @@ class ThreadPoolBackend(_PooledBackend):
         if not assignments:
             return None
         self.warm(plan, network, cache, stats)
-        if injector is None:
-            injector = self.fault_injector
-        if len(assignments) == 1 or self.max_workers == 1:
-            return self._run_serially(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                checkpoint=checkpoint, injector=injector,
-            )
-
         if policy is None:
             policy = self.fault_policy or FAIL_FAST
-        contributions: List[Optional[np.ndarray]] = [None] * len(assignments)
-        if checkpoint is not None:
-            for position, loaded in checkpoint.loaded.items():
-                contributions[position] = loaded
-        thread_state = threading.local()
-        chunks = self._chunks(assignments)
-
-        def work(
-            task: Tuple[List[Tuple[int, Mapping[str, int]]], Optional[Tuple[str, float]]]
-        ) -> Tuple[PlanStats, Optional[List[int]], Optional[BaseException]]:
-            chunk, directive = task
-            local_stats = PlanStats()
-            # one arena per pool thread, reused across its chunks
-            slots = getattr(thread_state, "slots", None)
-            if slots is None:
-                slots = thread_state.slots = StemSlots()
-            try:
-                apply_directive(directive, in_process=True)
-                results: List[np.ndarray] = []
-                for _position, assignment in chunk:
-                    tensor = plan.execute(
-                        network, assignment, cache=cache, stats=local_stats, slots=slots
-                    )
-                    results.append(_owned_contribution(tensor, sum_batch_axes))
-                # checksums over the honest results, corruption (if
-                # injected) after — the coordinator's verify must catch it
-                checksums = payload_checksums(results)
-                corrupt_payload(directive, results)
-                for (position, _), contribution in zip(chunk, results):
-                    contributions[position] = contribution
-            except Exception as exc:
-                # the exception travels back as data: the submitting loop
-                # decides whether to retry, degrade, or re-raise
-                return local_stats, None, exc
-            return local_stats, checksums, None
-
-        # a chunk all of whose ordered slots came out of the ledger has
-        # nothing left to execute
-        pending = [
-            index
-            for index, chunk in enumerate(chunks)
-            if any(contributions[position] is None for position, _ in chunk)
-        ]
-        attempts = [0] * len(chunks)
-        failure: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            while pending and failure is None:
-                tasks = [
-                    (
-                        chunks[i],
-                        injector.directive_for_next_chunk()
-                        if injector is not None
-                        else None,
-                    )
-                    for i in pending
-                ]
-                retry_now: List[int] = []
-                for chunk_index, (local_stats, checksums, exc) in zip(
-                    pending, pool.map(work, tasks)
-                ):
-                    if exc is None:
-                        positions = [p for p, _ in chunks[chunk_index]]
-                        arrays = [contributions[p] for p in positions]
-                        if not verify_payload(arrays, checksums):
-                            # poisoned payload: clear the in-place writes
-                            # so the retry (or degradation) recomputes
-                            # them — never fold or persist corrupt slots
-                            for position in positions:
-                                contributions[position] = None
-                            exc = ChunkIntegrityError(
-                                f"chunk {chunk_index} failed its payload "
-                                f"checksum"
-                            )
-                    if exc is None:
-                        if stats is not None:
-                            stats.merge(local_stats)
-                        if checkpoint is not None:
-                            checkpoint.record_chunk(positions, arrays)
-                        if injector is not None:
-                            apply_coordinator_directive(
-                                injector.coordinator_directive_for_next_harvest()
-                            )
-                        continue
-                    # a thread substrate has no pool to rebuild: every
-                    # fault is a chunk-level fault, retried in place
-                    if stats is not None:
-                        stats.faults += 1
-                    attempts[chunk_index] += 1
-                    if attempts[chunk_index] > policy.chunk_retry_budget:
-                        failure = exc
-                        break
-                    retry_now.append(chunk_index)
-                if failure is None and retry_now:
-                    with RecoveryClock(stats):
-                        if stats is not None:
-                            stats.retries += len(retry_now)
-                        backoff = max(
-                            policy.backoff(attempts[i] - 1) for i in retry_now
-                        )
-                        if backoff > 0:
-                            time.sleep(backoff)
-                pending = retry_now if failure is None else pending
-
-        if failure is not None:
-            if policy.mode == "degrade":
-                # last rung of the chain for a thread run: fill the empty
-                # ordered slots serially, in the calling thread
-                from .resilience import fill_missing_serial
-
-                fill_missing_serial(
-                    plan, network, assignments, contributions, cache,
-                    sum_batch_axes, stats, slots=self._slots,
+        if injector is None:
+            injector = self.fault_injector
+        if self._inline_small_runs and (len(assignments) == 1 or self.max_workers == 1):
+            if checkpoint is not None:
+                accumulated = _serial_accumulate_checkpointed(
+                    plan, network, assignments, cache, sum_batch_axes, stats,
+                    self._slots, checkpoint, injector,
                 )
-                if stats is not None and stats.degraded_to is None:
-                    stats.degraded_to = "serial"
-            elif policy.mode == "retry":
-                raise RecoveryExhaustedError(
-                    f"thread chunk failed after {policy.chunk_retry_budget} "
-                    f"retries: {failure!r}",
-                    contributions,
-                ) from failure
             else:
-                raise failure
-        return self._merge_ordered(plan, contributions, sum_batch_axes)
+                accumulated = _serial_accumulate(
+                    plan, network, assignments, cache, sum_batch_axes, stats, self._slots
+                )
+            return _result_tensor(plan, accumulated, sum_batch_axes)
+        scheduler = ChunkScheduler(
+            plan, network, assignments, cache, sum_batch_axes, stats,
+            policy, injector, checkpoint,
+        )
+        contributions = scheduler.run(
+            self._open_channel(plan, network, cache, sum_batch_axes),
+            self._chunks(assignments),
+            self.max_workers,
+        )
+        accumulated = contributions[0]
+        for contribution in contributions[1:]:
+            accumulated += contribution
+        return _result_tensor(plan, accumulated, sum_batch_axes)
+
+
+def _execute_chunk(
+    plan: CompiledPlan,
+    network,
+    cache: Optional[Dict[int, np.ndarray]],
+    sum_batch_axes: int,
+    slots: StemSlots,
+    items: List[Tuple[int, Mapping[str, int]]],
+    directive: Optional[Tuple[str, float]],
+) -> ChunkResult:
+    """Run one chunk's subtasks in a worker of any pooled backend."""
+    stats = PlanStats()
+    arrays: List[np.ndarray] = []
+    for _, assignment in items:
+        tensor = plan.execute(network, assignment, cache=cache, stats=stats, slots=slots)
+        arrays.append(_owned_contribution(tensor, sum_batch_axes))
+    # checksums over the honest results, injected corruption (if any)
+    # after them: the coordinator's verification must catch it
+    checksums = payload_checksums(arrays)
+    corrupt_payload(directive, arrays)
+    return ChunkResult(arrays, checksums, stats)
+
+
+class _FutureChannel(ChunkChannel):
+    """A chunk channel over a ``concurrent.futures`` executor."""
+
+    def __init__(self) -> None:
+        self._inflight: Dict[int, Future] = {}
+        self._events: List[Event] = []
+
+    def capacity(self) -> int:
+        # the executor queues whatever it cannot start yet
+        return sys.maxsize if self.workers() else 0
+
+    def started(self, chunk: int) -> bool:
+        future = self._inflight.get(chunk)
+        return future is None or future.running() or future.done()
+
+    def wait(self, timeout: Optional[float]) -> List[Event]:
+        if self._inflight and not self._events:
+            index_of = {future: chunk for chunk, future in self._inflight.items()}
+            done, _ = futures_wait(
+                index_of, timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            for future in sorted(done, key=index_of.__getitem__):
+                if index_of[future] not in self._inflight:
+                    continue  # already taken by a worker loss below
+                error = future.exception()
+                if isinstance(error, BrokenExecutor):
+                    self._lose_workers(error)
+                    continue
+                chunk = index_of[future]
+                del self._inflight[chunk]
+                if error is None:
+                    self._events.append(Completion(chunk, self._take(future.result())))
+                else:
+                    self._events.append(Completion(chunk, error=error))
+        events, self._events = self._events, []
+        return events
+
+    def _take(self, value) -> ChunkResult:
+        """The chunk result inside a completed future's value."""
+        return value
+
+    def _lose_workers(self, error: BaseException, also: Tuple[int, ...] = ()) -> None:
+        """Every worker is gone: chunks that finished still count."""
+        lost = list(also)
+        for chunk, future in sorted(self._inflight.items()):
+            if future.done() and future.exception() is None:
+                self._events.append(Completion(chunk, self._take(future.result())))
+            else:
+                lost.append(chunk)
+        self._inflight = {}
+        self._abort()
+        self._events.append(WorkerLoss(tuple(lost), error))
+
+    def _abort(self) -> None:
+        """Hard-stop the executor's workers."""
+        raise NotImplementedError
+
+
+class _ThreadChannel(_FutureChannel):
+    """Chunks on a thread pool; threads are never lost or preempted."""
+
+    substrate = "threads"
+
+    def __init__(
+        self,
+        max_workers: int,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Optional[Dict[int, np.ndarray]],
+        sum_batch_axes: int,
+    ) -> None:
+        super().__init__()
+        self._max_workers = max_workers
+        self._run = (plan, network, cache, sum_batch_axes)
+        self._pool = ThreadPoolExecutor(max_workers=max_workers)
+        self._local = threading.local()
+
+    def __enter__(self) -> "_ThreadChannel":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _work(self, items, directive) -> ChunkResult:
+        # one arena per pool thread, reused across its chunks
+        slots = getattr(self._local, "slots", None)
+        if slots is None:
+            slots = self._local.slots = StemSlots()
+        apply_directive(directive, in_process=True)
+        return _execute_chunk(*self._run, slots, items, directive)
+
+    def submit(self, chunk, items, directive, resend) -> None:
+        self._inflight[chunk] = self._pool.submit(self._work, items, directive)
+
+    def workers(self) -> int:
+        return self._max_workers
+
+
+class ThreadPoolBackend(_PooledBackend):
+    """Distribute subtask chunks over a thread pool.
+
+    numpy releases the GIL inside the contraction kernels, so threads
+    amortize well when each subtask is large; per-subtask Python overhead
+    is still serialized, which is where the process pool takes over.
+    A running thread cannot be stopped, so chunk timeouts are not
+    enforced here, and a thread is never lost: every fault is a chunk
+    fault, retried in place.
+
+    Parameters
+    ----------
+    max_workers:
+        Thread count.
+    chunk_size:
+        Subtasks per work item; default streams ~4 chunks per thread.
+    """
+
+    name = "threads"
+
+    def _open_channel(self, plan, network, cache, sum_batch_axes) -> _ThreadChannel:
+        return _ThreadChannel(self.max_workers, plan, network, cache, sum_batch_axes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadPoolBackend(max_workers={self.max_workers})"
@@ -983,20 +978,17 @@ def _run_chunk(
         List[Tuple[int, Mapping[str, int]]],
         Optional[Tuple[str, float]],
     ]
-) -> Tuple[int, List[np.ndarray], List[int], PlanStats, int]:
-    """Execute one chunk in a worker.
+) -> Tuple[int, ChunkResult]:
+    """Execute one chunk in a worker; returns ``(pid, result)``.
 
-    Returns ``(start, results, checksums, stats, pid)``.  ``task`` carries
-    the session generation the chunk belongs to and — for post-republish
-    generations — the pickled payload a stale (or freshly spawned) worker
-    needs to re-initialize itself.  The pid lets the parent track which
-    workers hold the current generation, so it can stop attaching the
-    payload once all of them do.  The optional fourth element is a
-    fault-injection directive (:mod:`repro.execution.faultinject`),
-    applied before the chunk runs; ``None`` on every production chunk.
-    The checksums are CRC-32s over each contribution, computed here —
-    before any injected payload corruption — so the parent can verify the
-    results survived the process boundary intact.
+    ``task`` carries the session generation the chunk belongs to and — for
+    post-republish generations and re-submitted chunks — the pickled
+    payload a stale (or freshly spawned) worker needs to re-initialize
+    itself.  The pid lets the parent track which workers hold the current
+    generation, so it can stop attaching the payload once all of them do.
+    The fourth element is a fault-injection directive
+    (:mod:`repro.execution.faultinject`), applied before the chunk runs;
+    ``None`` on every production chunk.
     """
     generation, blob, chunk, directive = task
     apply_directive(directive)
@@ -1008,32 +1000,16 @@ def _run_chunk(
                 f"{generation}"
             )
         state = _install_worker_state(pickle.loads(blob))
-    local_stats = PlanStats()
-    results: List[np.ndarray] = []
-    for _, assignment in chunk:
-        tensor = state.plan.execute(
-            state.network,  # type: ignore[arg-type]
-            assignment,
-            cache=state.cache,
-            stats=local_stats,
-            slots=state.slots,
-        )
-        results.append(_owned_contribution(tensor, state.sum_batch_axes))
-    checksums = payload_checksums(results)
-    corrupt_payload(directive, results)
-    return chunk[0][0], results, checksums, local_stats, os.getpid()
+    result = _execute_chunk(
+        state.plan, state.network, state.cache, state.sum_batch_axes,
+        state.slots, chunk, directive,
+    )
+    return os.getpid(), result
 
 
 # ----------------------------------------------------------------------
 # Shared-memory process pool — parent side
 # ----------------------------------------------------------------------
-#: How often the parent re-checks whether a queued chunk has started
-#: running: a chunk's timeout clock starts at the first observation of its
-#: running state, not at submission, so chunks queued behind a saturated
-#: pool do not burn their budget while waiting for a worker.
-_TIMEOUT_POLL_SECONDS = 0.05
-
-
 class _SessionResources:
     """The pool and published segments of one session, released together.
 
@@ -1122,7 +1098,7 @@ def _abort_pool(pool: Optional[ProcessPoolExecutor]) -> None:
             pass
 
 
-class ExecutionSession:
+class ExecutionSession(_FutureChannel):
     """Resident process-pool state of a :class:`SharedMemoryProcessPoolBackend`.
 
     A session keeps three things alive across ``run_subtasks`` calls that
@@ -1147,20 +1123,20 @@ class ExecutionSession:
     unlinked even if ``close`` is never called, so no resource-tracker
     leak survives the session object.
 
-    The session is also where pool *crash recovery* happens (see
-    :mod:`repro.execution.resilience` for the policy layer): under a
-    retrying/degrading :class:`~repro.execution.resilience.FaultPolicy`,
-    a dead worker or timed-out chunk aborts the poisoned pool, unlinks
-    the old generation's segments, republishes fresh ones and respawns
-    the pool through the same :meth:`ensure` path a cold session uses —
-    then re-runs only the chunks whose ordered slots are still empty, so
-    the recovered result is bit-identical to a clean run.  A run that
-    fails anyway marks the session *broken*; the next :meth:`ensure`
-    resets it transparently.
+    During a run the session is the
+    :class:`~repro.execution.scheduler.ChunkScheduler`'s channel
+    (:meth:`channel`): a dead worker or a timed-out chunk breaks the whole
+    pool, which is aborted, and a restart unlinks the old generation's
+    segments, republishes fresh ones and respawns the pool through the
+    same :meth:`ensure` path a cold session uses.  A run that fails
+    anyway marks the session *broken*; the next :meth:`ensure` resets it
+    transparently.
     """
 
     def __init__(self, backend: "SharedMemoryProcessPoolBackend") -> None:
+        super().__init__()
         self._backend = backend
+        self._run_args: Optional[Tuple] = None
         self._resources = _SessionResources()
         self._finalizer = weakref.finalize(
             self, _release_session_resources, self._resources
@@ -1375,292 +1351,38 @@ class ExecutionSession:
         return leaf_meta, cache_meta
 
     # ------------------------------------------------------------------
-    def run(
+    # The chunk channel (see repro.execution.scheduler)
+    # ------------------------------------------------------------------
+    substrate = "process-pool"
+    preemptible = True
+    restartable = True
+
+    @contextmanager
+    def channel(
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
         cache: Optional[Dict[int, np.ndarray]] = None,
         sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """Stream chunks through the resident pool; per-position results.
+    ) -> Iterator["ExecutionSession"]:
+        """This session as one run's chunk channel.
 
-        The caller (the backend) folds the returned contributions strictly
-        in assignment order, so session reuse — and crash recovery, which
-        only ever re-runs chunks whose ordered slots are still empty —
-        cannot perturb the ordered-accumulation contract.
-
-        ``policy`` (default: the backend's, else fail-fast) governs what
-        happens on a fault: a dead worker or stuck chunk tears the pool
-        down and, with rebuild budget remaining, the pool is respawned
-        with the segments republished under a new generation and only the
-        missing chunks are re-submitted; a raised chunk is re-submitted
-        with backoff up to its retry budget.  Any failure that propagates
-        marks the session broken, so the next call transparently rebuilds
-        instead of crashing on stale state.
-
-        ``checkpoint`` (an open durable ledger) pre-fills slots persisted
-        by a previous run and write-ahead-records each harvested chunk —
-        the rung of recovery that survives this whole *process* dying.
+        A failure that leaves the run marks the session broken, so the
+        next :meth:`ensure` rebuilds it; a pool already aborted by the
+        failure releases its segments right away.
         """
-        if policy is None:
-            policy = self._backend.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self._backend.fault_injector
         self.ensure(plan, network, cache, sum_batch_axes)
+        self._run_args = (plan, network, cache, sum_batch_axes)
         try:
-            return self._run_resilient(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                policy, injector, checkpoint,
-            )
+            yield self
         except BaseException:
             self._broken = True
+            if self._resources.pool is None:
+                self.reset()
             raise
-
-    def _submit_chunk(
-        self,
-        pool: ProcessPoolExecutor,
-        chunk: List[Tuple[int, Mapping[str, int]]],
-        is_retry: bool,
-        injector: Optional[FaultInjector],
-    ):
-        """Submit one chunk, attaching payload/directive as needed."""
-        if is_retry:
-            # a retried chunk may land on a worker whose state died with
-            # the fault (or on a freshly respawned pool): always carry
-            # the payload so the worker can self-initialize
-            blob = self._payload_blob
-        else:
-            blob = self._blob
-        directive = (
-            injector.directive_for_next_chunk() if injector is not None else None
-        )
-        return pool.submit(
-            _run_chunk, (self._generation, blob, chunk, directive)
-        )
-
-    def _run_resilient(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
-        stats: Optional[PlanStats],
-        policy: FaultPolicy,
-        injector: Optional[FaultInjector],
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        chunks = self._backend._chunks(assignments)
-        contributions: List[Optional[np.ndarray]] = [None] * len(assignments)
-        if checkpoint is not None:
-            for position, loaded in checkpoint.loaded.items():
-                contributions[position] = loaded
-        # a chunk's *own* raised exceptions, counted against its retry
-        # budget.  Pool-wide faults (worker death, a timed-out chunk
-        # poisoning the pool) are budgeted separately through ``rebuilds``
-        # — a rebuild must not eat an unrelated chunk's documented
-        # per-chunk retries.
-        failures = [0] * len(chunks)
-        # chunks all of whose ordered slots came out of the ledger have
-        # nothing left to execute (a partially-covered chunk re-runs
-        # whole: deterministic subtasks make the overwrite bit-identical,
-        # and already-durable slots are skipped by the ledger's record)
-        pending = [
-            index
-            for index, chunk in enumerate(chunks)
-            if any(contributions[position] is None for position, _ in chunk)
-        ]
-        rebuilds = 0
-
-        def harvest(future) -> None:
-            start, results, checksums, local_stats, pid = future.result()
-            if not verify_payload(results, checksums):
-                # poisoned payload: discard before it can reach an ordered
-                # slot or the ledger; raises into the chunk-failure path
-                raise ChunkIntegrityError(
-                    f"chunk starting at position {start} failed its "
-                    f"payload checksum"
-                )
-            for offset, contribution in enumerate(results):
-                contributions[start + offset] = contribution
-            if stats is not None:
-                stats.merge(local_stats)
-            self._confirmed_pids.add(pid)
-            if checkpoint is not None:
-                checkpoint.record_chunk(
-                    range(start, start + len(results)), results
-                )
-            if injector is not None:
-                # coordinator-side faults fire here, after the chunk's
-                # slots are durable — InjectedCoordinatorDeath is a
-                # BaseException, so no recovery path below intercepts it
-                apply_coordinator_directive(
-                    injector.coordinator_directive_for_next_harvest()
-                )
-
-        while pending:
-            pool = self._resources.pool
-            assert pool is not None
-            submitted: List[Tuple[int, object]] = []
-            pool_fault: Optional[BaseException] = None
-            try:
-                for chunk_index in pending:
-                    future = self._submit_chunk(
-                        pool,
-                        chunks[chunk_index],
-                        failures[chunk_index] > 0 or rebuilds > 0,
-                        injector,
-                    )
-                    submitted.append((chunk_index, future))
-            except BrokenExecutor as exc:
-                pool_fault = exc
-
-            done: List[int] = []
-            retry_now: List[int] = []
-            if pool_fault is None:
-                index_of = {future: chunk_index for chunk_index, future in submitted}
-                budgets = {
-                    future: policy.chunk_timeout(len(chunks[index]))
-                    for future, index in index_of.items()
-                }
-                # each chunk's deadline starts when it is first observed
-                # running (or done), so harvesting happens in completion
-                # order and a wedged chunk cannot accrue free time behind
-                # slower siblings; observation granularity (the poll
-                # interval) is folded into the timeout's safety factor
-                deadlines: Dict[object, float] = {}
-                outstanding = set(index_of)
-                while outstanding and pool_fault is None:
-                    now = time.monotonic()
-                    wait_timeout: Optional[float] = None
-                    for future in outstanding:
-                        if future in deadlines or budgets[future] is None:
-                            continue
-                        if future.running() or future.done():
-                            deadlines[future] = now + budgets[future]
-                        else:
-                            # queued with a timeout: poll until it starts
-                            wait_timeout = _TIMEOUT_POLL_SECONDS
-                    expired = [
-                        index_of[f]
-                        for f in outstanding
-                        if f in deadlines and deadlines[f] <= now and not f.done()
-                    ]
-                    if expired:
-                        # a timed-out chunk may be wedged inside a live
-                        # worker — ProcessPoolExecutor cannot cancel a
-                        # running task, so the timeout poisons the pool
-                        pool_fault = FuturesTimeoutError(
-                            f"chunks {sorted(expired)} exceeded their "
-                            f"timeout budgets"
-                        )
-                        break
-                    remaining = [
-                        deadlines[f] - now for f in outstanding if f in deadlines
-                    ]
-                    if remaining:
-                        nearest = max(0.0, min(remaining))
-                        wait_timeout = (
-                            nearest
-                            if wait_timeout is None
-                            else min(wait_timeout, nearest)
-                        )
-                    completed, _ = futures_wait(
-                        outstanding, timeout=wait_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in completed:
-                        chunk_index = index_of[future]
-                        outstanding.discard(future)
-                        try:
-                            harvest(future)
-                        except BrokenExecutor as exc:
-                            # a dead worker poisons the pool
-                            pool_fault = exc
-                            break
-                        except KeyboardInterrupt:
-                            raise
-                        except Exception as exc:
-                            # chunk-level failure: the pool survives, only
-                            # this chunk is re-submitted
-                            if stats is not None:
-                                stats.faults += 1
-                            failures[chunk_index] += 1
-                            if failures[chunk_index] > policy.chunk_retry_budget:
-                                if policy.mode == "fail-fast":
-                                    raise
-                                raise RecoveryExhaustedError(
-                                    f"chunk {chunk_index} failed "
-                                    f"{failures[chunk_index]} times: {exc!r}",
-                                    contributions,
-                                ) from exc
-                            retry_now.append(chunk_index)
-                        else:
-                            done.append(chunk_index)
-
-            if pool_fault is not None:
-                # worker death or stuck chunk: the pool is poisoned.
-                # Keep every contribution that already completed, then
-                # rebuild and re-run only the still-empty slots.
-                if stats is not None:
-                    stats.faults += 1
-                for chunk_index, future in submitted:
-                    if chunk_index in done:
-                        continue
-                    try:
-                        if future.done() and future.exception() is None:
-                            harvest(future)
-                            done.append(chunk_index)
-                    except Exception:  # pragma: no cover - defensive
-                        pass
-                pending = [i for i in pending if i not in done]
-                timed_out = isinstance(pool_fault, FuturesTimeoutError)
-                if rebuilds >= policy.pool_rebuild_budget:
-                    # reset() drains the pool (shutdown(wait=True)), which
-                    # a wedged worker would block forever — hard-stop the
-                    # workers first so the terminal error actually raises
-                    # and a degrading caller can take over
-                    _abort_pool(self._resources.pool)
-                    self._resources.pool = None
-                    self.reset()
-                    if policy.mode == "fail-fast":
-                        if timed_out:
-                            raise ChunkTimeoutError(
-                                f"chunk exceeded its timeout budget "
-                                f"({len(pending)} chunks unfinished)"
-                            ) from pool_fault
-                        raise pool_fault
-                    raise RecoveryExhaustedError(
-                        f"pool fault with rebuild budget exhausted "
-                        f"({rebuilds} rebuilds used, {len(pending)} chunks "
-                        f"unfinished): {pool_fault!r}",
-                        contributions,
-                    ) from pool_fault
-                rebuilds += 1
-                if stats is not None:
-                    stats.retries += len(pending)
-                self._rebuild_after_fault(
-                    plan, network, cache, sum_batch_axes, stats,
-                    backoff=policy.backoff(rebuilds - 1),
-                )
-                continue
-
-            if retry_now:
-                with RecoveryClock(stats):
-                    if stats is not None:
-                        stats.retries += len(retry_now)
-                    backoff = max(
-                        policy.backoff(failures[i] - 1) for i in retry_now
-                    )
-                    if backoff > 0:
-                        time.sleep(backoff)
-            pending = retry_now
-
+        finally:
+            self._run_args = None
+            self._inflight, self._events = {}, []
         if (
             self._blob is not None
             and len(self._confirmed_pids) >= self._backend.max_workers
@@ -1669,34 +1391,47 @@ class ExecutionSession:
             # ones — it breaks instead) holds this generation: later
             # chunks no longer need to carry the republish payload
             self._blob = None
-        return contributions
 
-    def _rebuild_after_fault(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
-        stats: Optional[PlanStats],
-        backoff: float = 0.0,
-    ) -> None:
-        """Crash recovery: hard-stop the pool, republish, respawn.
+    def submit(self, chunk, items, directive, resend) -> None:
+        # a re-submitted chunk may land on a worker whose state died with
+        # the fault (or on a respawned pool): it always carries the payload
+        blob = self._payload_blob if resend else self._blob
+        pool = self._resources.pool
+        assert pool is not None
+        try:
+            future = pool.submit(_run_chunk, (self._generation, blob, items, directive))
+        except BrokenExecutor as exc:
+            self._lose_workers(exc, also=(chunk,))
+        else:
+            self._inflight[chunk] = future
 
-        The dead pool's workers are terminated (a stuck worker would
-        otherwise keep its segment attachments alive), the previous
-        generation's segments are unlinked and fresh ones published, and
-        a new pool is spawned with the new payload as its initializer —
-        all through the same :meth:`ensure` path a cold session uses, so
-        recovery cannot diverge from a clean start.
+    def _take(self, value: Tuple[int, ChunkResult]) -> ChunkResult:
+        pid, result = value
+        self._confirmed_pids.add(pid)
+        return result
+
+    def sever(self, chunk: int, error: BaseException) -> None:
+        future = self._inflight.get(chunk)
+        if future is not None and not future.done():
+            # a running task cannot be cancelled: the stuck chunk takes
+            # the whole pool down with it
+            self._lose_workers(error)
+
+    def _abort(self) -> None:
+        _abort_pool(self._resources.pool)
+        self._resources.pool = None
+
+    def workers(self) -> int:
+        return self._backend.max_workers if self._resources.pool is not None else 0
+
+    def restart(self) -> None:
+        """Republish the segments under a new generation and respawn.
+
+        Goes through the same :meth:`_ensure` path a cold session uses,
+        so recovery cannot diverge from a clean start.
         """
-        with RecoveryClock(stats):
-            _abort_pool(self._resources.pool)
-            self._resources.pool = None
-            if backoff > 0:
-                time.sleep(backoff)
-            # pool is gone -> ensure republishes the segments under a new
-            # generation and spawns a fresh pool
-            self._ensure(plan, network, cache, sum_batch_axes)
+        assert self._run_args is not None
+        self._ensure(*self._run_args)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else ("live" if self.pool_is_live else "idle")
@@ -1706,7 +1441,78 @@ class ExecutionSession:
         )
 
 
-class SharedMemoryProcessPoolBackend(_PooledBackend):
+class _SessionBackend(_PooledBackend):
+    """A pooled backend whose workers live in a persistent session.
+
+    Runs use the open session (:meth:`session`) as their chunk channel,
+    or a session opened and closed around the run when none is open.
+    """
+
+    #: The session class holding the backend's resident state.
+    _session_type: type = ExecutionSession
+
+    def __init__(self, max_workers: int, chunk_size: Optional[int] = None) -> None:
+        super().__init__(max_workers, chunk_size)
+        self._session = None
+
+    def _open_channel(self, plan, network, cache, sum_batch_axes):
+        session = self._session
+        if session is not None and not session.closed:
+            return session.channel(plan, network, cache, sum_batch_axes)
+        return _scratch_channel(
+            self._session_type(self), plan, network, cache, sum_batch_axes
+        )
+
+    # ------------------------------------------------------------------
+    def session(
+        self,
+        plan: Optional[CompiledPlan] = None,
+        network: Optional[TensorNetwork] = None,
+        cache: Optional[Dict[int, np.ndarray]] = None,
+        sum_batch_axes: int = 0,
+        stats: Optional[PlanStats] = None,
+    ):
+        """Open (or reuse) the backend's persistent session.
+
+        With ``plan`` and ``network`` supplied the session is eagerly
+        warmed: the invariant cache is computed, the workers started and
+        the plan and data published before the first ``run_subtasks``
+        call.  Without them the session starts idle and materializes on
+        first use — the form long-lived callers whose plan changes per
+        batch (e.g. a sampling run) use.
+        """
+        session = self._session
+        if session is None or session.closed:
+            session = self._session_type(self)
+            self._session = session
+        if plan is not None:
+            if network is None:
+                raise ValueError("session(plan=...) also requires network=")
+            self.warm(plan, network, cache, stats)
+            session.ensure(plan, network, cache, sum_batch_axes)
+        return session
+
+    def close(self) -> None:
+        """Close the active session (idempotent)."""
+        session, self._session = self._session, None
+        if session is not None:
+            session.close()
+
+    def reset_session(self) -> None:
+        """Rebuild path for axis-order mutations: drop all resident state."""
+        session = self._session
+        if session is not None and not session.closed:
+            session.reset()
+
+
+@contextmanager
+def _scratch_channel(session, plan, network, cache, sum_batch_axes):
+    """Run on a session opened for this run alone, closed after it."""
+    with session, session.channel(plan, network, cache, sum_batch_axes) as channel:
+        yield channel
+
+
+class SharedMemoryProcessPoolBackend(_SessionBackend):
     """Distribute subtask chunks over a shared-memory process pool.
 
     The invariant cache is warmed once in the parent, then the warm cache
@@ -1738,120 +1544,6 @@ class SharedMemoryProcessPoolBackend(_PooledBackend):
     """
 
     name = "process-pool"
-
-    def __init__(self, max_workers: int, chunk_size: Optional[int] = None) -> None:
-        super().__init__(max_workers, chunk_size)
-        self._session: Optional[ExecutionSession] = None
-
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        plan: Optional[CompiledPlan] = None,
-        network: Optional[TensorNetwork] = None,
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-    ) -> ExecutionSession:
-        """Open (or reuse) the backend's persistent :class:`ExecutionSession`.
-
-        With ``plan`` and ``network`` supplied the session is eagerly
-        warmed: the invariant cache is computed, the segments published
-        and the pool spawned before the first ``run_subtasks`` call.
-        Without them the session starts idle and materializes on first
-        use — the form long-lived callers whose plan changes per batch
-        (e.g. a sampling run) use.
-        """
-        session = self._session
-        if session is None or session.closed:
-            session = ExecutionSession(self)
-            self._session = session
-        if plan is not None:
-            if network is None:
-                raise ValueError("session(plan=...) also requires network=")
-            self.warm(plan, network, cache, stats)
-            session.ensure(plan, network, cache, sum_batch_axes)
-        return session
-
-    def close(self) -> None:
-        """Close the active session (idempotent)."""
-        session, self._session = self._session, None
-        if session is not None:
-            session.close()
-
-    def reset_session(self) -> None:
-        """Rebuild path for axis-order mutations: drop pool and segments."""
-        session = self._session
-        if session is not None and not session.closed:
-            session.reset()
-
-    # ------------------------------------------------------------------
-    def run_subtasks(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> Optional[Tensor]:
-        if not assignments:
-            return None
-        self.warm(plan, network, cache, stats)
-        if policy is None:
-            policy = self.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self.fault_injector
-        if len(assignments) == 1 or self.max_workers == 1:
-            return self._run_serially(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                checkpoint=checkpoint, injector=injector,
-            )
-        try:
-            session = self._session
-            if session is not None and not session.closed:
-                contributions = session.run(
-                    plan, network, assignments, cache, sum_batch_axes, stats,
-                    policy=policy, injector=injector, checkpoint=checkpoint,
-                )
-            else:
-                with ExecutionSession(self) as scratch:
-                    contributions = scratch.run(
-                        plan, network, assignments, cache, sum_batch_axes,
-                        stats, policy=policy, injector=injector,
-                        checkpoint=checkpoint,
-                    )
-        except RecoveryExhaustedError as exc:
-            if policy.mode != "degrade":
-                raise
-            # pool recovery ran out: finish the empty ordered slots on
-            # the degradation chain.  Filled slots keep their bit-exact
-            # pool-computed contributions, so the final fold is identical
-            # to a clean run.
-            contributions = list(exc.contributions)
-            if len(contributions) != len(assignments):
-                contributions = [None] * len(assignments)
-            for substrate in policy.degradation_chain:
-                try:
-                    run_degraded(
-                        substrate, plan, network, assignments, contributions,
-                        cache, sum_batch_axes, stats, self.max_workers,
-                    )
-                except Exception:
-                    continue
-                if stats is not None and stats.degraded_to is None:
-                    stats.degraded_to = substrate
-                break
-            missing = [i for i, c in enumerate(contributions) if c is None]
-            if missing:
-                raise RecoveryExhaustedError(
-                    f"degradation chain {policy.degradation_chain} left "
-                    f"{len(missing)} slots unfilled",
-                    contributions,
-                ) from exc
-        return self._merge_ordered(plan, contributions, sum_batch_axes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SharedMemoryProcessPoolBackend(max_workers={self.max_workers})"

@@ -1,4 +1,4 @@
-"""Distributed multi-node execution: sliced subtasks over sockets or MPI.
+"""Distributed multi-node execution: sliced subtasks over sockets.
 
 The paper's headline numbers come from farming the ``prod w(e)`` slicing
 subtasks across *nodes*; until now the repo only modelled that
@@ -13,10 +13,7 @@ This module adds the real thing behind the same
   connections; the default, and what CI measures strong scaling against;
 * :class:`SocketTransport` — connects out to pre-started workers
   (``--listen host:port``) given as ``addresses=［(host, port), ...］``,
-  i.e. real multi-node operation with nothing but the stdlib;
-* :class:`MpiTransport` — the same coordinator loop over ``mpi4py``
-  point-to-point messages, import-guarded so the socket path never
-  depends on an MPI stack.
+  i.e. real multi-node operation with nothing but the stdlib.
 
 Wire protocol (socket transports): length-prefixed pickle frames — an
 8-byte big-endian length followed by the pickled message tuple.  State is
@@ -54,15 +51,18 @@ replacement therefore re-ships the arrays without re-broadcasting the
 plan, and both travel lazily: a worker is brought up to date right before
 its next chunk, so freshly (re)spawned workers synchronize for free.
 
-**Faults.**  The PR-6 resilience layer applies unchanged: a worker
-disconnect re-queues its in-flight chunk on the surviving workers
-(rebalance), total worker loss respawns up to the policy's pool-rebuild
-budget (spawned transports only), and exhausted recovery degrades to the
-local substrate chain (thread pool → serial) with only the still-empty
-ordered slots re-run.  ``fail-fast`` (the default) propagates the first
-fault, exactly like the other backends.  Deterministic fault injection
-gains a ``"drop-connection"`` kind: the worker severs its socket
-mid-chunk, the coordinator-side view of a cut network link.
+**Faults.**  Chunks are scheduled by the same
+:class:`~repro.execution.scheduler.ChunkScheduler` as on the local pools,
+with the session as its channel: a worker disconnect loses one worker and
+re-queues its in-flight chunk on the survivors (rebalance), total worker
+loss respawns up to the policy's pool-rebuild budget (spawned transports
+only), a chunk timeout severs the wedged worker's link, and exhausted
+recovery degrades to the local substrate chain (thread pool → serial)
+with only the still-empty ordered slots re-run.  ``fail-fast`` (the
+default) propagates the first fault, exactly like the other backends.
+Deterministic fault injection gains a ``"drop-connection"`` kind: the
+worker severs its socket mid-chunk, the coordinator-side view of a cut
+network link.
 
 **Durability.**  Result frames carry per-contribution CRC-32 checksums,
 verified before a contribution reaches its ordered slot (a corrupt
@@ -98,27 +98,27 @@ import subprocess
 import sys
 import time
 import weakref
-from collections import deque
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from .backend import ExecutionSession, _PooledBackend
-from .checkpoint import CheckpointJob, verify_payload
-from .faultinject import FaultInjector, apply_coordinator_directive
-from .plan import CompiledPlan, PlanStats
-from .resilience import (
-    FAIL_FAST,
-    ChunkIntegrityError,
-    ChunkTimeoutError,
-    FaultError,
-    FaultPolicy,
-    RecoveryClock,
-    RecoveryExhaustedError,
-    run_degraded,
-)
+from .backend import ExecutionSession, _SessionBackend
+from .plan import CompiledPlan
+from .resilience import FaultError
+from .scheduler import ChunkChannel, ChunkResult, Completion, Event, WorkerLoss
 
 __all__ = [
     "ClusterTransport",
@@ -126,7 +126,6 @@ __all__ = [
     "DistributedSession",
     "DistributedWorkerError",
     "LocalSocketTransport",
-    "MpiTransport",
     "SocketTransport",
     "TransportClosed",
     "TransportError",
@@ -201,19 +200,12 @@ class DistributedWorkerError(FaultError):
 class _Inflight:
     """Bookkeeping for the one chunk a worker is currently executing."""
 
-    __slots__ = ("chunk_index", "sent_at", "chunk_bytes", "deadline")
+    __slots__ = ("chunk_index", "sent_at", "chunk_bytes")
 
-    def __init__(
-        self,
-        chunk_index: int,
-        sent_at: float,
-        chunk_bytes: int,
-        deadline: Optional[float],
-    ) -> None:
+    def __init__(self, chunk_index: int, sent_at: float, chunk_bytes: int) -> None:
         self.chunk_index = chunk_index
         self.sent_at = sent_at
         self.chunk_bytes = chunk_bytes
-        self.deadline = deadline
 
 
 class WorkerLink:
@@ -274,9 +266,8 @@ class ClusterTransport:
     objects (:meth:`launch`), optionally how to produce replacements
     after total worker loss (:meth:`respawn`, gated by
     :attr:`supports_respawn`), and how to *wait* for any of a set of
-    links to have a frame ready (:meth:`wait` — ``select`` for sockets,
-    ``iprobe`` polling for MPI).  The coordinator is otherwise identical
-    across transports.
+    links to have a frame ready (:meth:`wait`, a ``select`` over the
+    sockets).  The coordinator is otherwise identical across transports.
     """
 
     name = "transport"
@@ -471,96 +462,6 @@ class SocketTransport(ClusterTransport):
         return links
 
 
-class MpiTransport(ClusterTransport):
-    """The same coordinator loop over ``mpi4py`` point-to-point messages.
-
-    Rank 0 is the coordinator; every other rank of ``COMM_WORLD`` runs
-    the worker loop (``python -m repro.execution.worker --mpi`` under
-    ``mpiexec``).  Frames are the same pickled message tuples, carried by
-    ``comm.send``/``comm.recv`` instead of length-prefixed socket writes;
-    :meth:`wait` polls ``iprobe``.  Import-guarded: constructing this
-    transport without ``mpi4py`` installed raises a :class:`TransportError`
-    naming the socket alternative, so the default path never needs an MPI
-    stack.
-    """
-
-    name = "mpi"
-    supports_respawn = False
-
-    _FRAME_TAG = 7
-
-    def __init__(self) -> None:
-        try:
-            from mpi4py import MPI  # noqa: PLC0415 - optional dependency
-        except ImportError as exc:
-            raise TransportError(
-                "the MPI transport requires mpi4py, which is not installed; "
-                "use the default socket transport "
-                "(DistributedBackend(transport='sockets')) or install mpi4py "
-                "and launch via mpiexec with repro.execution.worker --mpi"
-            ) from exc
-        self._mpi = MPI  # pragma: no cover - requires an MPI stack
-        self._comm = MPI.COMM_WORLD  # pragma: no cover
-        if self._comm.Get_size() < 2:  # pragma: no cover
-            raise TransportError(
-                "the MPI transport needs at least 2 ranks (coordinator + workers)"
-            )
-
-    def launch(self, count: int) -> List[WorkerLink]:  # pragma: no cover
-        size = self._comm.Get_size()
-        return [
-            _MpiWorkerLink(self._comm, rank, self._FRAME_TAG)
-            for rank in range(1, size)
-        ]
-
-    def wait(self, links, timeout):  # pragma: no cover - requires an MPI stack
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            ready = [link for link in links if link.alive and link.probe()]
-            if ready:
-                return ready
-            if deadline is not None and time.monotonic() >= deadline:
-                return []
-            time.sleep(0.001)
-
-
-class _MpiWorkerLink(WorkerLink):  # pragma: no cover - requires an MPI stack
-    """A worker rank reached through ``comm.send``/``comm.recv``."""
-
-    def __init__(self, comm, rank: int, tag: int) -> None:
-        super().__init__(sock=None, worker_id=rank)  # type: ignore[arg-type]
-        self._comm = comm
-        self._rank = rank
-        self._tag = tag
-        self.alive = True
-        self.pid = rank
-
-    def send(self, message: object) -> int:
-        try:
-            self._comm.send(message, dest=self._rank, tag=self._tag)
-        except Exception as exc:
-            self.kill()
-            raise TransportClosed(f"MPI send to rank {self._rank} failed") from exc
-        return len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def recv(self) -> Tuple[object, int]:
-        try:
-            message = self._comm.recv(source=self._rank, tag=self._tag)
-        except Exception as exc:
-            self.kill()
-            raise TransportClosed(f"MPI recv from rank {self._rank} failed") from exc
-        return message, len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def probe(self) -> bool:
-        return bool(self._comm.iprobe(source=self._rank, tag=self._tag))
-
-    def fileno(self) -> int:
-        raise TransportError("MPI links have no file descriptor")
-
-    def kill(self) -> None:
-        self.alive = False
-
-
 # ----------------------------------------------------------------------
 # The distributed session (coordinator loop)
 # ----------------------------------------------------------------------
@@ -589,7 +490,7 @@ def _release_session_resources(resources: _SessionResources) -> None:
         transport.close()
 
 
-class DistributedSession:
+class DistributedSession(ChunkChannel):
     """Resident cluster state of a :class:`DistributedBackend`.
 
     The remote generalization of the shared-memory
@@ -610,12 +511,14 @@ class DistributedSession:
     the worker's next chunk — TCP ordering makes the sync race-free and a
     freshly (re)spawned worker needs no special casing.
 
-    The session is also where distributed *fault recovery* happens: a
-    disconnected worker's in-flight chunk is re-queued on the survivors,
-    total loss respawns workers (spawned transports, within the policy's
-    pool-rebuild budget), and timeouts sever the link of a wedged worker.
-    A failed run marks the session broken; the next :meth:`ensure` resets
-    it transparently, exactly like the shared-memory session.
+    During a run the session is the
+    :class:`~repro.execution.scheduler.ChunkScheduler`'s channel
+    (:meth:`channel`): a disconnected worker loses one link, whose
+    in-flight chunk the scheduler re-queues on the survivors, a timeout
+    severs the link of a wedged worker, and :meth:`restart` respawns
+    workers once none is left (spawned transports only).  A failed run
+    marks the session broken; the next :meth:`ensure` resets it
+    transparently, exactly like the shared-memory session.
     """
 
     def __init__(self, backend: "DistributedBackend") -> None:
@@ -634,6 +537,7 @@ class DistributedSession:
         self._data_generation = -1
         self._plan_blob: Optional[bytes] = None
         self._data_blob: Optional[bytes] = None
+        self._events: List[Event] = []
         #: Plan broadcasts performed (a publication event, not per worker).
         self.plan_broadcasts = 0
         #: Data publications performed (includes those riding a plan change).
@@ -809,48 +713,60 @@ class DistributedSession:
         self.worker_launches += len(links)
 
     # ------------------------------------------------------------------
-    def run(
+    # The chunk channel (see repro.execution.scheduler)
+    # ------------------------------------------------------------------
+    substrate = "distributed"
+    preemptible = True
+
+    @property
+    def restartable(self) -> bool:
+        """Spawned transports can replace lost workers."""
+        transport = self._resources.transport
+        return transport is not None and transport.supports_respawn
+
+    @contextmanager
+    def channel(
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
         cache: Optional[Dict[int, np.ndarray]] = None,
         sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """Stream chunks through the cluster; per-position contributions.
+    ) -> Iterator["DistributedSession"]:
+        """This session as one run's chunk channel.
 
-        The caller (the backend) folds the returned contributions
-        strictly in assignment order, so arrival order — adversarial or
-        not — cannot perturb the ordered-accumulation contract.
-
-        ``checkpoint`` (an open durable ledger; see
-        :mod:`repro.execution.checkpoint`) pre-fills slots persisted by a
-        previous run and write-ahead-records each verified chunk.
+        A failure that leaves the run marks the session broken, so the
+        next :meth:`ensure` rebuilds the cluster.
         """
-        if policy is None:
-            policy = self._backend.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self._backend.fault_injector
         self.ensure(plan, network, cache, sum_batch_axes)
         try:
-            return self._run_resilient(
-                assignments, stats, policy, injector, checkpoint
-            )
+            yield self
         except BaseException:
             self._broken = True
             raise
+        finally:
+            self._events = []
+
+    def capacity(self) -> int:
+        # one chunk per worker at a time: the stream is self-balancing, a
+        # slow worker simply pulls fewer
+        return sum(1 for link in self._links if link.alive and link.inflight is None)
+
+    def submit(self, chunk, items, directive, resend) -> None:
+        link = next(
+            link for link in self._links if link.alive and link.inflight is None
+        )
+        try:
+            self._dispatch(link, chunk, items, directive)
+        except TransportError as exc:
+            link.kill()
+            self._events.append(WorkerLoss((chunk,), exc))
 
     def _dispatch(
         self,
         link: WorkerLink,
         chunk_index: int,
         chunk: List[Tuple[int, Mapping[str, int]]],
-        policy: FaultPolicy,
-        injector: Optional[FaultInjector],
+        directive: Optional[Tuple[str, float]],
     ) -> None:
         """Sync the worker's generations, then send it one chunk."""
         if link.plan_generation != self._plan_generation:
@@ -863,9 +779,6 @@ class DistributedSession:
                 ("data", (self._data_generation, self._data_blob))
             )
             link.data_generation = self._data_generation
-        directive = (
-            injector.directive_for_next_chunk() if injector is not None else None
-        )
         chunk_bytes = link.send(
             (
                 "chunk",
@@ -878,241 +791,76 @@ class DistributedSession:
                 ),
             )
         )
-        budget = policy.chunk_timeout(len(chunk))
-        now = time.monotonic()
-        link.inflight = _Inflight(
-            chunk_index, now, chunk_bytes, None if budget is None else now + budget
-        )
+        link.inflight = _Inflight(chunk_index, time.monotonic(), chunk_bytes)
 
-    def _run_resilient(
-        self,
-        assignments: Sequence[Mapping[str, int]],
-        stats: Optional[PlanStats],
-        policy: FaultPolicy,
-        injector: Optional[FaultInjector],
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        transport = self._resources.transport
-        assert transport is not None
-        chunks = self._backend._chunks(assignments)
-        contributions: List[Optional[np.ndarray]] = [None] * len(assignments)
-        if checkpoint is not None:
-            for position, loaded in checkpoint.loaded.items():
-                contributions[position] = loaded
-        failures = [0] * len(chunks)
-        # chunks fully covered by the ledger never hit the wire; a
-        # partially-covered chunk re-runs whole (deterministic subtasks
-        # make the overwrite bit-identical, and already-durable slots are
-        # skipped by the ledger's record)
-        queue: deque = deque(
-            index
-            for index, chunk in enumerate(chunks)
-            if any(contributions[position] is None for position, _ in chunk)
-        )
-        respawns_used = 0
-
-        def chunk_failed(chunk_index: int, error: BaseException) -> None:
-            # a chunk-level fault (the worker survived and reported it):
-            # counted against the chunk's own retry budget
-            if stats is not None:
-                stats.faults += 1
-            failures[chunk_index] += 1
-            if failures[chunk_index] > policy.chunk_retry_budget:
-                if policy.mode == "fail-fast":
-                    raise error
-                raise RecoveryExhaustedError(
-                    f"chunk {chunk_index} failed {failures[chunk_index]} "
-                    f"times: {error!r}",
-                    contributions,
-                ) from error
-            if stats is not None:
-                stats.retries += 1
-            with RecoveryClock(stats):
-                backoff = policy.backoff(failures[chunk_index] - 1)
-                if backoff > 0:
-                    time.sleep(backoff)
-            queue.append(chunk_index)
-
-        def fail_link(link: WorkerLink, error: BaseException) -> None:
-            # a worker-level fault (disconnect, wedge): sever the link and
-            # rebalance its in-flight chunk onto the survivors.  Worker
-            # loss does not consume the chunk's retry budget — workers
-            # only ever deplete, and total loss is budgeted separately
-            # through the policy's pool-rebuild allowance.
-            inflight, link.inflight = link.inflight, None
-            link.kill()
-            if stats is not None:
-                stats.faults += 1
-            if policy.mode == "fail-fast":
-                raise error
-            if inflight is not None:
-                if stats is not None:
-                    stats.retries += 1
-                queue.appendleft(inflight.chunk_index)
-
-        def handle_frame(link: WorkerLink) -> None:
-            try:
-                message, frame_bytes = link.recv()
-            except TransportError as exc:
-                fail_link(link, exc)
-                return
-            kind, payload = message
-            if kind == "result":
-                chunk_id, arrays, checksums, local_stats = payload
-                inflight = link.inflight
-                if (
-                    inflight is None
-                    or chunk_id != inflight.chunk_index
-                    or len(arrays) != len(chunks[chunk_id])
-                ):
-                    fail_link(
-                        link,
-                        TransportError(
-                            f"worker {link.worker_id} answered chunk "
-                            f"{chunk_id} out of turn"
-                        ),
-                    )
-                    return
-                link.inflight = None
-                if not verify_payload(arrays, checksums):
-                    # poisoned payload: discard before it can reach an
-                    # ordered slot or the durable ledger; charged to the
-                    # chunk's retry budget like any other chunk failure
-                    chunk_failed(
-                        chunk_id,
-                        ChunkIntegrityError(
-                            f"chunk {chunk_id} from worker {link.worker_id} "
-                            f"failed its payload checksum"
-                        ),
-                    )
-                    return
-                for (position, _), contribution in zip(chunks[chunk_id], arrays):
-                    contributions[position] = contribution
-                if stats is not None:
-                    stats.merge(local_stats)
-                    # everything the worker's own compute samples do not
-                    # cover — serialization, transfer, dispatch — is the
-                    # communication overhead the cost model prices
-                    roundtrip = time.monotonic() - inflight.sent_at
-                    compute = local_stats.subtask_seconds_sum
-                    stats.comms_seconds += max(0.0, roundtrip - compute)
-                    stats.comms_bytes += inflight.chunk_bytes + frame_bytes
-                    stats.chunk_roundtrips += 1
-                if checkpoint is not None:
-                    checkpoint.record_chunk(
-                        [position for position, _ in chunks[chunk_id]], arrays
-                    )
-                if injector is not None:
-                    # coordinator-side faults fire here, after the chunk's
-                    # slots are durable — InjectedCoordinatorDeath is a
-                    # BaseException, so no recovery path intercepts it
-                    apply_coordinator_directive(
-                        injector.coordinator_directive_for_next_harvest()
-                    )
-            elif kind == "error":
-                chunk_id, exc_repr, traceback_text = payload
-                inflight, link.inflight = link.inflight, None
-                if inflight is None or chunk_id != inflight.chunk_index:
-                    fail_link(
-                        link,
-                        TransportError(
-                            f"worker {link.worker_id} reported an error for "
-                            f"chunk {chunk_id} out of turn"
-                        ),
-                    )
-                    return
-                chunk_failed(
-                    chunk_id,
-                    DistributedWorkerError(link.worker_id, exc_repr, traceback_text),
-                )
-            else:
-                fail_link(
-                    link,
-                    TransportError(
-                        f"unexpected frame kind {kind!r} from worker "
-                        f"{link.worker_id}"
-                    ),
-                )
-
-        while queue or any(
-            link.inflight is not None for link in self._links if link.alive
-        ):
-            live = [link for link in self._links if link.alive]
-            if not live:
-                if (
-                    transport.supports_respawn
-                    and respawns_used < policy.pool_rebuild_budget
-                ):
-                    respawns_used += 1
-                    self.respawns += 1
-                    with RecoveryClock(stats):
-                        backoff = policy.backoff(respawns_used - 1)
-                        if backoff > 0:
-                            time.sleep(backoff)
-                        self._launch(self._backend.max_workers)
-                    continue
-                raise RecoveryExhaustedError(
-                    f"all distributed workers are gone with {len(queue)} "
-                    f"chunks unfinished (respawn budget "
-                    f"{policy.pool_rebuild_budget}, used {respawns_used})",
-                    contributions,
-                )
-
-            # keep every idle worker busy with one chunk at a time: the
-            # stream is self-balancing, a slow worker simply pulls fewer
-            for link in live:
-                if not queue:
-                    break
-                if not link.alive or link.inflight is not None:
-                    continue
-                chunk_index = queue.popleft()
-                try:
-                    self._dispatch(link, chunk_index, chunks[chunk_index],
-                                   policy, injector)
-                except TransportError as exc:
-                    queue.appendleft(chunk_index)
-                    fail_link(link, exc)
-
-            busy = [
-                link
-                for link in self._links
-                if link.alive and link.inflight is not None
-            ]
-            if not busy:
-                continue
-            now = time.monotonic()
-            wait_timeout: Optional[float] = None
-            for link in busy:
-                deadline = link.inflight.deadline
-                if deadline is not None:
-                    remaining = max(0.0, deadline - now)
-                    wait_timeout = (
-                        remaining
-                        if wait_timeout is None
-                        else min(wait_timeout, remaining)
-                    )
-            for link in transport.wait(busy, wait_timeout):
+    def wait(self, timeout: Optional[float]) -> List[Event]:
+        busy = [link for link in self._links if link.alive and link.inflight is not None]
+        if busy and not self._events:
+            transport = self._resources.transport
+            assert transport is not None
+            for link in transport.wait(busy, timeout):
                 if link.alive:
-                    handle_frame(link)
-            now = time.monotonic()
-            for link in busy:
-                inflight = link.inflight
-                if (
-                    link.alive
-                    and inflight is not None
-                    and inflight.deadline is not None
-                    and now >= inflight.deadline
-                ):
-                    # the worker may be wedged mid-chunk; severing the
-                    # link is the only preemption a remote process allows
-                    fail_link(
-                        link,
-                        ChunkTimeoutError(
-                            f"chunk {inflight.chunk_index} exceeded its "
-                            f"timeout budget on worker {link.worker_id}"
-                        ),
-                    )
-        return contributions
+                    self._events.append(self._receive(link))
+        events, self._events = self._events, []
+        return events
+
+    def _receive(self, link: WorkerLink) -> Event:
+        """Read one frame from a busy worker."""
+        inflight = link.inflight
+        try:
+            message, frame_bytes = link.recv()
+        except TransportError as exc:
+            return self._lose(link, exc)
+        kind, payload = message
+        if (
+            kind not in ("result", "error")
+            or inflight is None
+            or payload[0] != inflight.chunk_index
+        ):
+            return self._lose(
+                link,
+                TransportError(
+                    f"worker {link.worker_id} sent a {kind!r} frame out of turn"
+                ),
+            )
+        link.inflight = None
+        if kind == "error":
+            _, exc_repr, traceback_text = payload
+            return Completion(
+                inflight.chunk_index,
+                error=DistributedWorkerError(link.worker_id, exc_repr, traceback_text),
+            )
+        _, arrays, checksums, local_stats = payload
+        # everything the worker's own compute samples do not cover —
+        # serialization, transfer, dispatch — is the communication
+        # overhead the cost model prices
+        roundtrip = time.monotonic() - inflight.sent_at
+        compute = local_stats.subtask_seconds_sum
+        local_stats.comms_seconds += max(0.0, roundtrip - compute)
+        local_stats.comms_bytes += inflight.chunk_bytes + frame_bytes
+        local_stats.chunk_roundtrips += 1
+        result = ChunkResult(arrays, checksums, local_stats)
+        return Completion(inflight.chunk_index, result)
+
+    def _lose(self, link: WorkerLink, error: BaseException) -> WorkerLoss:
+        inflight, link.inflight = link.inflight, None
+        link.kill()
+        return WorkerLoss(() if inflight is None else (inflight.chunk_index,), error)
+
+    def sever(self, chunk: int, error: BaseException) -> None:
+        for link in self._links:
+            inflight = link.inflight
+            if link.alive and inflight is not None and inflight.chunk_index == chunk:
+                # severing the link is the only preemption a remote
+                # process allows
+                self._events.append(self._lose(link, error))
+
+    def workers(self) -> int:
+        return self.workers_live
+
+    def restart(self) -> None:
+        self._launch(self._backend.max_workers)
+        self.respawns += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else f"{self.workers_live} workers"
@@ -1139,7 +887,7 @@ def _default_worker_count() -> int:
     return max(2, min(4, os.cpu_count() or 2))
 
 
-class DistributedBackend(_PooledBackend):
+class DistributedBackend(_SessionBackend):
     """Farm subtask chunks to remote worker processes over a transport.
 
     Implements the same ``run_subtasks`` contract as the in-process
@@ -1166,7 +914,7 @@ class DistributedBackend(_PooledBackend):
         Pre-started worker endpoints — ``(host, port)`` pairs or
         ``"host:port"`` strings — reached via :class:`SocketTransport`.
     transport:
-        ``"sockets"`` (default), ``"mpi"``, a ready
+        ``"sockets"`` (default), a ready
         :class:`ClusterTransport` instance, or a zero-argument factory
         returning one (the seam tests use to shim worker behaviour).
     chunk_size:
@@ -1176,6 +924,10 @@ class DistributedBackend(_PooledBackend):
     """
 
     name = "distributed"
+    _session_type = DistributedSession
+    # a one-worker run is a real coordinator→worker round-trip: the
+    # honest N=1 baseline measure_strong_scaling needs
+    _inline_small_runs = False
     #: Duck-typed marker ``validate_execution_args`` checks without
     #: importing this module: broadcast payloads and contribution frames
     #: are host-side pickles, so device array modules are rejected.
@@ -1211,7 +963,6 @@ class DistributedBackend(_PooledBackend):
         self._transport_spec = transport
         self._spawn_timeout = float(spawn_timeout)
         self._connect_timeout = float(connect_timeout)
-        self._session: Optional[DistributedSession] = None
 
     # ------------------------------------------------------------------
     @property
@@ -1237,113 +988,10 @@ class DistributedBackend(_PooledBackend):
                     self.addresses, connect_timeout=self._connect_timeout
                 )
             return LocalSocketTransport(spawn_timeout=self._spawn_timeout)
-        if spec == "mpi":
-            return MpiTransport()
         raise ValueError(
-            f"unknown transport {spec!r} (expected 'sockets', 'mpi', a "
+            f"unknown transport {spec!r} (expected 'sockets', a "
             "ClusterTransport instance, or a factory)"
         )
-
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        plan: Optional[CompiledPlan] = None,
-        network: Optional[TensorNetwork] = None,
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-    ) -> DistributedSession:
-        """Open (or reuse) the backend's persistent :class:`DistributedSession`.
-
-        With ``plan``/``network`` the session is eagerly warmed: workers
-        launched and both payloads broadcast before the first run.
-        """
-        session = self._session
-        if session is None or session.closed:
-            session = DistributedSession(self)
-            self._session = session
-        if plan is not None:
-            if network is None:
-                raise ValueError("session(plan=...) also requires network=")
-            self.warm(plan, network, cache, stats)
-            session.ensure(plan, network, cache, sum_batch_axes)
-        return session
-
-    def close(self) -> None:
-        """Close the active session (idempotent)."""
-        session, self._session = self._session, None
-        if session is not None:
-            session.close()
-
-    def reset_session(self) -> None:
-        """Rebuild path for axis-order mutations: drop workers and payloads."""
-        session = self._session
-        if session is not None and not session.closed:
-            session.reset()
-
-    # ------------------------------------------------------------------
-    def run_subtasks(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> Optional[Tensor]:
-        if not assignments:
-            return None
-        self.warm(plan, network, cache, stats)
-        if policy is None:
-            policy = self.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self.fault_injector
-        try:
-            session = self._session
-            if session is not None and not session.closed:
-                contributions = session.run(
-                    plan, network, assignments, cache, sum_batch_axes, stats,
-                    policy=policy, injector=injector, checkpoint=checkpoint,
-                )
-            else:
-                with DistributedSession(self) as scratch:
-                    contributions = scratch.run(
-                        plan, network, assignments, cache, sum_batch_axes,
-                        stats, policy=policy, injector=injector,
-                        checkpoint=checkpoint,
-                    )
-        except RecoveryExhaustedError as exc:
-            if policy.mode != "degrade":
-                raise
-            # cluster recovery ran out: finish the empty ordered slots on
-            # the local substrate chain.  Filled slots keep their
-            # bit-exact remotely-computed contributions, so the final
-            # fold is identical to a clean run.
-            contributions = list(exc.contributions)
-            if len(contributions) != len(assignments):
-                contributions = [None] * len(assignments)
-            for substrate in policy.degradation_chain:
-                try:
-                    run_degraded(
-                        substrate, plan, network, assignments, contributions,
-                        cache, sum_batch_axes, stats, self.max_workers,
-                    )
-                except Exception:
-                    continue
-                if stats is not None and stats.degraded_to is None:
-                    stats.degraded_to = substrate
-                break
-            missing = [i for i, c in enumerate(contributions) if c is None]
-            if missing:
-                raise RecoveryExhaustedError(
-                    f"degradation chain {policy.degradation_chain} left "
-                    f"{len(missing)} slots unfilled",
-                    contributions,
-                ) from exc
-        return self._merge_ordered(plan, contributions, sum_batch_axes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.addresses:

@@ -26,10 +26,11 @@ This module carries the *policy* side of that story:
   contribution list, they re-run exactly the assignments whose ordered
   slots are still empty, in-process.
 
-The *mechanics* of pool crash recovery (worker-death detection, segment
-republication under a new generation, re-running only the missing chunks)
-live in :class:`~repro.execution.backend.ExecutionSession`; deterministic
-fault *injection* lives in :mod:`repro.execution.faultinject`.
+The policy is applied, for every pooled backend, by one
+:class:`~repro.execution.scheduler.ChunkScheduler`: retries, timeouts,
+restarts of lost workers and the degradation walk live there, and the
+backends only move chunks.  Deterministic fault *injection* lives in
+:mod:`repro.execution.faultinject`.
 
 Everything above recovers within one coordinator process.  The rung
 above — surviving the coordinator itself dying — is the durable chunk

@@ -4,7 +4,6 @@ Run one of::
 
     python -m repro.execution.worker --connect HOST:PORT   # dial a coordinator
     python -m repro.execution.worker --listen HOST:PORT    # await coordinators
-    python -m repro.execution.worker --mpi                 # MPI rank worker
 
 ``--connect`` is what :class:`~repro.execution.distributed.LocalSocketTransport`
 spawns: the worker dials the coordinator's listener, sends a ``hello``
@@ -13,9 +12,7 @@ frame, then serves chunk frames until EOF or a ``shutdown`` frame.
 per node, point the coordinator's
 :class:`~repro.execution.distributed.SocketTransport` at the addresses;
 the listener serves one coordinator at a time and re-accepts after each
-session, so a long-lived node survives many runs.  ``--mpi`` serves the
-same frames over ``mpi4py`` point-to-point messages from rank 0
-(requires launching under ``mpiexec``).
+session, so a long-lived node survives many runs.
 
 The frame protocol is defined in :mod:`repro.execution.distributed`.  A
 worker holds one plan generation and one data generation at a time; the
@@ -43,11 +40,11 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..tensornet.tensor import Tensor
-from .backend import _LeafStore, _owned_contribution
-from .checkpoint import payload_checksums
+from .backend import _execute_chunk, _LeafStore
 from .distributed import TransportClosed, TransportError, recv_frame, send_frame
-from .faultinject import apply_directive, corrupt_payload
-from .plan import CompiledPlan, PlanStats, StemSlots
+from .faultinject import apply_directive
+from .plan import CompiledPlan, StemSlots
+from .scheduler import ChunkResult
 
 __all__ = ["WorkerRuntime", "main", "serve"]
 
@@ -97,7 +94,8 @@ class WorkerRuntime:
         plan_generation: int,
         data_generation: int,
         items: List[Tuple[int, Mapping[str, int]]],
-    ) -> Tuple[List[np.ndarray], List[int], PlanStats]:
+        directive: Optional[Tuple[str, float]] = None,
+    ) -> ChunkResult:
         if self.plan is None or plan_generation != self.plan_generation:
             raise RuntimeError(
                 f"worker holds plan generation {self.plan_generation}, "
@@ -108,21 +106,10 @@ class WorkerRuntime:
                 f"worker holds data generation {self.data_generation}, "
                 f"chunk {chunk_id} needs {data_generation}"
             )
-        local_stats = PlanStats()
-        results: List[np.ndarray] = []
-        for _, assignment in items:
-            tensor = self.plan.execute(
-                self.network,  # type: ignore[arg-type]
-                assignment,
-                cache=self.cache,
-                stats=local_stats,
-                slots=self.slots,
-            )
-            results.append(_owned_contribution(tensor, self.sum_batch_axes))
-        # per-contribution CRC-32s travel with the results so the
-        # coordinator can verify the payload survived the wire intact
-        # (see repro.execution.checkpoint.verify_payload)
-        return results, payload_checksums(results), local_stats
+        return _execute_chunk(
+            self.plan, self.network, self.cache, self.sum_batch_axes,
+            self.slots, items, directive,
+        )
 
 
 def serve(sock: socket.socket) -> None:
@@ -156,18 +143,15 @@ def serve(sock: socket.socket) -> None:
                 os._exit(1)
             try:
                 apply_directive(directive)
-                results, checksums, local_stats = runtime.run_chunk(
-                    chunk_id, plan_generation, data_generation, items
+                result = runtime.run_chunk(
+                    chunk_id, plan_generation, data_generation, items, directive
                 )
-                # injected payload corruption happens after checksumming,
-                # so the coordinator's verification must catch it
-                corrupt_payload(directive, results)
             except Exception as exc:
                 # the original exception class may not unpickle on the
                 # coordinator — ship repr + traceback text instead
                 reply = ("error", (chunk_id, repr(exc), traceback.format_exc()))
             else:
-                reply = ("result", (chunk_id, results, checksums, local_stats))
+                reply = ("result", (chunk_id, *result))
             try:
                 send_frame(sock, reply)
             except TransportClosed:
@@ -204,52 +188,6 @@ def _serve_listen(address: str) -> None:
                 serve(conn)
 
 
-def _serve_mpi() -> None:  # pragma: no cover - requires an MPI stack
-    try:
-        from mpi4py import MPI
-    except ImportError:
-        raise SystemExit(
-            "--mpi requires mpi4py, which is not installed; "
-            "use --connect/--listen with the socket transport instead"
-        )
-    from .distributed import MpiTransport
-
-    comm = MPI.COMM_WORLD
-    if comm.Get_rank() == 0:
-        raise SystemExit("rank 0 is the coordinator; workers are ranks >= 1")
-    tag = MpiTransport._FRAME_TAG
-    runtime = WorkerRuntime()
-    comm.send(("hello", os.getpid()), dest=0, tag=tag)
-    while True:
-        kind, payload = comm.recv(source=0, tag=tag)
-        if kind == "shutdown":
-            return
-        if kind == "plan":
-            runtime.install_plan(*payload)
-        elif kind == "data":
-            runtime.install_data(*payload)
-        elif kind == "chunk":
-            chunk_id, plan_generation, data_generation, items, directive = payload
-            try:
-                apply_directive(directive)
-                results, checksums, local_stats = runtime.run_chunk(
-                    chunk_id, plan_generation, data_generation, items
-                )
-                corrupt_payload(directive, results)
-            except Exception as exc:
-                comm.send(
-                    ("error", (chunk_id, repr(exc), traceback.format_exc())),
-                    dest=0,
-                    tag=tag,
-                )
-            else:
-                comm.send(
-                    ("result", (chunk_id, results, checksums, local_stats)),
-                    dest=0,
-                    tag=tag,
-                )
-
-
 def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m repro.execution.worker",
@@ -265,16 +203,11 @@ def main(argv: Optional[List[str]] = None) -> None:
         help="await coordinator connections (port 0 binds ephemerally; the "
         "bound endpoint is printed as 'LISTENING HOST PORT')",
     )
-    group.add_argument(
-        "--mpi", action="store_true", help="serve as an MPI rank worker (mpi4py)"
-    )
     ns = parser.parse_args(argv)
     if ns.connect:
         _serve_connect(ns.connect)
-    elif ns.listen:
-        _serve_listen(ns.listen)
     else:
-        _serve_mpi()  # pragma: no cover - requires an MPI stack
+        _serve_listen(ns.listen)
 
 
 if __name__ == "__main__":

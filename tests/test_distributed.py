@@ -286,27 +286,6 @@ class TestFaultRecovery:
         assert "UnpicklingError" in str(excinfo.value)
         assert excinfo.value.worker_id >= 0
 
-    def test_worker_error_retried_against_chunk_budget(self, case, serial_value):
-        tn, tree, sliced = case
-        injector = FaultInjector(faults=[FaultSpec("poison-pickle", chunk=0)])
-        backend = DistributedBackend(num_workers=2, chunk_size=4)
-        try:
-            executor = SlicedExecutor(
-                tn,
-                tree,
-                sliced,
-                backend=backend,
-                fault_policy=FaultPolicy.retrying(2, backoff_seconds=0.0),
-                fault_injector=injector,
-            )
-            with executor.session():
-                assert executor.amplitude() == serial_value
-            stats = executor.stats
-        finally:
-            backend.close()
-        assert stats.faults >= 1
-        assert stats.retries >= 1
-
 
 # ----------------------------------------------------------------------
 # tentpole: remote session publication and invalidation

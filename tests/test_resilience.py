@@ -37,7 +37,6 @@ from repro.execution import (
     ThreadPoolBackend,
 )
 from repro.execution.faultinject import apply_directive
-from repro.execution.resilience import RecoveryExhaustedError
 from repro.paths import GreedyOptimizer
 from repro.tensornet import amplitude_network, simplify_network
 
@@ -475,23 +474,6 @@ class TestFailFastAndSessionHealing:
                 executor.amplitude()
         backend.close()
 
-    def test_retry_mode_exhaustion_raises_recovery_exhausted(self, case):
-        tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
-        executor = SlicedExecutor(
-            tn,
-            tree,
-            _sliced(tn),
-            backend=backend,
-            fault_policy=FaultPolicy.retrying(max_retries=1, backoff_seconds=0.0),
-            fault_injector=FaultInjector(
-                [FaultSpec("poison-pickle", chunk=0, times=1000)]
-            ),
-        )
-        with executor.session():
-            with pytest.raises(RecoveryExhaustedError):
-                executor.amplitude()
-
 
 class TestDegradation:
     def test_persistent_worker_death_degrades_bit_identically(
@@ -542,33 +524,6 @@ class TestDegradation:
 # Thread-backend injection and recovery
 # ----------------------------------------------------------------------
 class TestThreadBackendFaults:
-    def test_injected_fault_retries_bit_identically(self, case, serial_value):
-        tn, tree = case
-        executor = SlicedExecutor(
-            tn,
-            tree,
-            _sliced(tn),
-            backend=ThreadPoolBackend(max_workers=WORKERS),
-            fault_policy=FaultPolicy.retrying(max_retries=2, backoff_seconds=0.0),
-            fault_injector=FaultInjector([FaultSpec("kill-worker", chunk=1)]),
-        )
-        assert executor.amplitude() == serial_value
-        assert executor.stats.faults >= 1
-        assert executor.stats.retries >= 1
-
-    def test_fail_fast_propagates(self, case):
-        tn, tree = case
-        executor = SlicedExecutor(
-            tn,
-            tree,
-            _sliced(tn),
-            backend=ThreadPoolBackend(max_workers=WORKERS),
-            fault_policy=FaultPolicy.fail_fast(),
-            fault_injector=FaultInjector([FaultSpec("poison-pickle", chunk=0)]),
-        )
-        with pytest.raises(pickle.UnpicklingError):
-            executor.amplitude()
-
     def test_persistent_fault_degrades_to_serial(self, case, serial_value):
         tn, tree = case
         executor = SlicedExecutor(
@@ -583,21 +538,6 @@ class TestThreadBackendFaults:
         )
         assert executor.amplitude() == serial_value
         assert executor.stats.degraded_to == "serial"
-
-    def test_retry_exhaustion_raises(self, case):
-        tn, tree = case
-        executor = SlicedExecutor(
-            tn,
-            tree,
-            _sliced(tn),
-            backend=ThreadPoolBackend(max_workers=WORKERS),
-            fault_policy=FaultPolicy.retrying(max_retries=1, backoff_seconds=0.0),
-            fault_injector=FaultInjector(
-                [FaultSpec("poison-pickle", chunk=0, times=1000)]
-            ),
-        )
-        with pytest.raises(RecoveryExhaustedError):
-            executor.amplitude()
 
 
 # ----------------------------------------------------------------------
